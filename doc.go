@@ -17,11 +17,11 @@
 //
 // The query layer (internal/sparql over internal/store) compiles each
 // query into an ID-space plan: solution rows are flat slot arrays of
-// interned store IDs in a packed arena, joins run on sorted posting
-// lists through a lock-once store.Reader, and terms materialize only at
-// projection and expression boundaries. The original term-space
-// evaluator survives as the EngineLegacy fallback and differential-test
-// reference.
+// interned store IDs, joins stream depth-first over sorted posting lists
+// through a lock-once store snapshot, and terms materialize only at
+// projection and expression boundaries. One pipeline serves Exec, Stream
+// and EXPLAIN; the original term-space evaluator survives only as the
+// reference the differential and conformance tests check it against.
 //
 // Queries execute through a context-aware streaming surface:
 // endpoint.Client carries the caller's deadline and cancellation to the

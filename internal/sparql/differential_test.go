@@ -2,8 +2,8 @@ package sparql_test
 
 // Differential harness: every query of the package's fixed test corpus
 // plus randomized queries over internal/synth stores run through the
-// streaming engine, the ID-space engine and the legacy term-space
-// evaluator, asserting equivalent results. CI runs this under -race, so
+// engine and the term-space reference evaluator, asserting equivalent
+// results. CI runs this under -race, so
 // the lock-free Reader path is exercised by the race detector too.
 
 import (
@@ -155,46 +155,44 @@ func graphKey(g *rdf.Graph) (string, int) {
 	return strings.Join(lines, "\n"), len(blanks)
 }
 
-// assertEngineAgreement runs the query through all three evaluation
-// paths — streaming, ID-space and the legacy reference — and fails on
-// any observable difference. ordered means the query's ORDER BY keys are
-// known to impose a total order, so the exact row sequence is compared;
-// without it, ties may legitimately differ between engines (stable sorts
-// and top-k heaps over different join orders), so ordered results are
-// compared position-by-position under the ORDER BY keys themselves and
-// full multiset equality is asserted only when no window truncates them.
+// assertEngineAgreement runs the query through the engine (Stream,
+// collected) and the term-space reference and fails on any observable
+// difference. ordered means the query's ORDER BY keys are known to
+// impose a total order, so the exact row sequence is compared; without
+// it, ties may legitimately differ (stable sorts and top-k heaps over
+// different join orders), so ordered results are compared
+// position-by-position under the ORDER BY keys themselves and full
+// multiset equality is asserted only when no window truncates them.
 func assertEngineAgreement(t *testing.T, st *store.Store, query string, ordered bool) {
 	t.Helper()
 	q, err := sparql.Parse(query)
 	if err != nil {
 		t.Fatalf("parse %q: %v", query, err)
 	}
-	idRes, idErr := q.ExecEngine(st, sparql.EngineIDSpace)
-	lgRes, lgErr := q.ExecEngine(st, sparql.EngineLegacy)
-	var smRes *sparql.Result
-	smErr := func() error {
+	refRes, refErr := q.ExecReference(st)
+	var engRes *sparql.Result
+	engErr := func() error {
 		rs, err := q.Stream(context.Background(), st)
 		if err != nil {
 			return err
 		}
-		smRes, err = rs.Collect()
+		engRes, err = rs.Collect()
 		return err
 	}()
-	if (idErr == nil) != (lgErr == nil) || (smErr == nil) != (lgErr == nil) {
-		t.Fatalf("query %q: engine errors disagree: id=%v stream=%v legacy=%v", query, idErr, smErr, lgErr)
+	if (engErr == nil) != (refErr == nil) {
+		t.Fatalf("query %q: errors disagree: engine=%v reference=%v", query, engErr, refErr)
 	}
-	if lgErr != nil {
+	if refErr != nil {
 		return
 	}
-	compareEngines(t, query, q, "id", idRes, lgRes, ordered)
-	compareEngines(t, query, q, "stream", smRes, lgRes, ordered)
+	compareEngines(t, query, q, "engine", engRes, refRes, ordered)
 }
 
-// compareEngines checks one engine's result against the legacy reference.
+// compareEngines checks the engine's result against the reference.
 func compareEngines(t *testing.T, query string, q *sparql.Query, name string, got, want *sparql.Result, ordered bool) {
 	t.Helper()
 	if got.Ask != want.Ask || got.Boolean != want.Boolean {
-		t.Fatalf("query %q: ASK disagreement: %s=%+v legacy=%+v", query, name, got, want)
+		t.Fatalf("query %q: ASK disagreement: %s=%+v reference=%+v", query, name, got, want)
 	}
 	if got.Ask {
 		return
@@ -206,27 +204,27 @@ func compareEngines(t *testing.T, query string, q *sparql.Query, name string, go
 			// without a total order LIMIT may keep different solutions;
 			// only the cardinality is comparable
 			if got.Graph.Len() != want.Graph.Len() {
-				t.Fatalf("query %q: graph sizes differ: %s=%d legacy=%d", query, name, got.Graph.Len(), want.Graph.Len())
+				t.Fatalf("query %q: graph sizes differ: %s=%d reference=%d", query, name, got.Graph.Len(), want.Graph.Len())
 			}
 			return
 		}
 		if gk != lk || gb != lb {
-			t.Fatalf("query %q: graphs differ (blanks %d vs %d)\n%s:\n%s\nlegacy:\n%s", query, gb, lb, name, gk, lk)
+			t.Fatalf("query %q: graphs differ (blanks %d vs %d)\n%s:\n%s\nreference:\n%s", query, gb, lb, name, gk, lk)
 		}
 		return
 	}
 	if fmt.Sprint(got.Vars) != fmt.Sprint(want.Vars) {
-		t.Fatalf("query %q: vars differ: %s=%v legacy=%v", query, name, got.Vars, want.Vars)
+		t.Fatalf("query %q: vars differ: %s=%v reference=%v", query, name, got.Vars, want.Vars)
 	}
 	if len(q.OrderBy) > 0 {
 		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("query %q: row counts differ: %s=%d legacy=%d", query, name, len(got.Rows), len(want.Rows))
+			t.Fatalf("query %q: row counts differ: %s=%d reference=%d", query, name, len(got.Rows), len(want.Rows))
 		}
 		if ordered {
 			gk, lk := rowKeysInOrder(got), rowKeysInOrder(want)
 			for i := range gk {
 				if gk[i] != lk[i] {
-					t.Fatalf("query %q: ordered row %d differs:\n%s:     %q\nlegacy: %q", query, i, name, gk[i], lk[i])
+					t.Fatalf("query %q: ordered row %d differs:\n%s:     %q\nreference: %q", query, i, name, gk[i], lk[i])
 				}
 			}
 			return
@@ -239,7 +237,7 @@ func compareEngines(t *testing.T, query string, q *sparql.Query, name string, go
 			gk := sparql.OrderKeyOf(q.OrderBy, got.Rows[i])
 			lk := sparql.OrderKeyOf(q.OrderBy, want.Rows[i])
 			if sparql.CompareOrderKeys(q.OrderBy, gk, lk) != 0 {
-				t.Fatalf("query %q: sort key at row %d differs:\n%s:     %v\nlegacy: %v", query, i, name, got.Rows[i], want.Rows[i])
+				t.Fatalf("query %q: sort key at row %d differs:\n%s:     %v\nreference: %v", query, i, name, got.Rows[i], want.Rows[i])
 			}
 		}
 		if q.Limit < 0 && q.Offset == 0 {
@@ -247,7 +245,7 @@ func compareEngines(t *testing.T, query string, q *sparql.Query, name string, go
 			gk, lk := rowKeys(got), rowKeys(want)
 			for i := range gk {
 				if gk[i] != lk[i] {
-					t.Fatalf("query %q: row %d differs:\n%s:     %q\nlegacy: %q", query, i, name, gk[i], lk[i])
+					t.Fatalf("query %q: row %d differs:\n%s:     %q\nreference: %q", query, i, name, gk[i], lk[i])
 				}
 			}
 		}
@@ -257,17 +255,17 @@ func compareEngines(t *testing.T, query string, q *sparql.Query, name string, go
 		// row identity is not defined without a total order: each engine may
 		// keep a different window, so only the row count is comparable
 		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("query %q: row counts differ: %s=%d legacy=%d", query, name, len(got.Rows), len(want.Rows))
+			t.Fatalf("query %q: row counts differ: %s=%d reference=%d", query, name, len(got.Rows), len(want.Rows))
 		}
 		return
 	}
 	gk, lk := rowKeys(got), rowKeys(want)
 	if len(gk) != len(lk) {
-		t.Fatalf("query %q: row counts differ: %s=%d legacy=%d", query, name, len(gk), len(lk))
+		t.Fatalf("query %q: row counts differ: %s=%d reference=%d", query, name, len(gk), len(lk))
 	}
 	for i := range gk {
 		if gk[i] != lk[i] {
-			t.Fatalf("query %q: row %d differs:\n%s:     %q\nlegacy: %q", query, i, name, gk[i], lk[i])
+			t.Fatalf("query %q: row %d differs:\n%s:     %q\nreference: %q", query, i, name, gk[i], lk[i])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -25,50 +24,13 @@ type Result struct {
 	Graph *rdf.Graph
 }
 
-// Exec parses and executes a query against any storage tier.
-func Exec(st store.Queryable, query string) (*Result, error) {
-	q, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return q.Exec(st)
-}
-
-// Engine selects the evaluation strategy.
-type Engine uint8
-
-// Available engines.
-const (
-	// EngineAuto runs the ID-space engine, falling back to the legacy
-	// term-space evaluator for queries it cannot plan.
-	EngineAuto Engine = iota
-	// EngineIDSpace forces the compiled ID-space engine (exec.go).
-	EngineIDSpace
-	// EngineLegacy forces the term-space evaluator that joins map-based
-	// Bindings; kept as the fallback and as the differential-testing
-	// reference.
-	EngineLegacy
-)
-
-// Exec executes the parsed query against st with the default engine.
-func (q *Query) Exec(st store.Queryable) (*Result, error) {
-	return q.ExecEngine(st, EngineAuto)
-}
-
-// ExecEngine executes the parsed query with an explicit engine choice.
-func (q *Query) ExecEngine(st store.Queryable, engine Engine) (*Result, error) {
-	if engine == EngineLegacy {
-		return q.execLegacy(st)
-	}
-	res, err := q.execID(st)
-	if engine == EngineAuto && errors.Is(err, errUnsupportedPlan) {
-		return q.execLegacy(st)
-	}
-	return res, err
-}
-
-// execLegacy executes the query on the term-space evaluator.
-func (q *Query) execLegacy(st store.Queryable) (*Result, error) {
+// ExecReference executes the query on the term-space reference
+// evaluator: solutions are map-based Bindings joined pattern by pattern,
+// with none of the engine's ID-space encoding, compiled plan or
+// streaming operators. It is the oracle the differential and
+// conformance suites check the engine against; production code runs
+// Exec, Stream and Explain.
+func (q *Query) ExecReference(st store.Queryable) (*Result, error) {
 	ev := &evaluator{st: st}
 	sols := ev.evalGroup(q.Where, []Binding{{}})
 
@@ -78,17 +40,7 @@ func (q *Query) execLegacy(st store.Queryable) (*Result, error) {
 	if q.Form == FormConstruct {
 		// solution modifiers apply to the solution sequence before
 		// templating
-		if q.Offset > 0 {
-			if q.Offset >= len(sols) {
-				sols = nil
-			} else {
-				sols = sols[q.Offset:]
-			}
-		}
-		if q.Limit >= 0 && q.Limit < len(sols) {
-			sols = sols[:q.Limit]
-		}
-		return &Result{Graph: q.execConstruct(sols)}, nil
+		return &Result{Graph: q.execConstruct(windowBindings(sols, q.Offset, q.Limit))}, nil
 	}
 
 	needsGroup := q.needsGrouping()
@@ -135,18 +87,7 @@ func (q *Query) execLegacy(st store.Queryable) (*Result, error) {
 	if q.Distinct || q.Reduced {
 		rows = distinct(rows, vars)
 	}
-	// OFFSET / LIMIT
-	if q.Offset > 0 {
-		if q.Offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(rows) {
-		rows = rows[:q.Limit]
-	}
-	return &Result{Vars: vars, Rows: rows}, nil
+	return &Result{Vars: vars, Rows: windowBindings(rows, q.Offset, q.Limit)}, nil
 }
 
 func hasAliases(items []SelectItem) bool {
@@ -164,10 +105,7 @@ func (q *Query) projectPrepared(sols []Binding) ([]string, []Binding) {
 	if q.Star {
 		return q.starVars(), sols
 	}
-	vars := make([]string, len(q.Select))
-	for i, it := range q.Select {
-		vars[i] = it.Var
-	}
+	vars := selectVars(q.Select)
 	rows := make([]Binding, 0, len(sols))
 	for _, s := range sols {
 		out := Binding{}

@@ -1,18 +1,16 @@
 package sparql
 
-// The ID-space executor. Solution rows are flat []store.ID slices of
-// length nslots, packed back to back in a growing arena ([]store.ID with a
-// stride), so the join inner loops allocate no per-row maps and compare
-// variables with uint32 equality. Joins run as index nested loops over the
-// store's sorted posting lists (fully-bound patterns degrade to a binary
-// search — a merge against the sorted list), with a hash join taking over
-// when a large row set joins a pattern on a single variable. Terms are
+// The ID-space executor state. Solution rows are flat []store.ID slices
+// of length nslots, so the join inner loops (stream.go) allocate no
+// per-row maps and compare variables with uint32 equality. Terms are
 // materialized only at projection, FILTER/BIND/ORDER BY expression
-// evaluation, and result serialization.
+// evaluation, and result serialization. Operators that must hold a set
+// of solutions (full sort, term-space grouping, CONSTRUCT, the right side
+// of MINUS) collect them into a rowbuf: rows packed back to back in one
+// growing arena.
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -36,33 +34,10 @@ func (rb *rowbuf) add(r []store.ID) {
 	rb.n++
 }
 
-// appendAll appends every row of other.
-func (rb *rowbuf) appendAll(other *rowbuf) {
-	rb.data = append(rb.data, other.data[:other.n*other.stride]...)
-	rb.n += other.n
-}
-
-// window restricts the buffer to rows [offset, offset+limit); limit < 0
-// means unbounded. It mutates the buffer in place.
-func (rb *rowbuf) window(offset, limit int) *rowbuf {
-	if offset > 0 {
-		if offset >= rb.n {
-			rb.data, rb.n = nil, 0
-			return rb
-		}
-		rb.data = rb.data[offset*rb.stride:]
-		rb.n -= offset
-	}
-	if limit >= 0 && limit < rb.n {
-		rb.data = rb.data[:limit*rb.stride]
-		rb.n = limit
-	}
-	return rb
-}
-
-// idExec executes a compiled plan. It owns the executor-local dictionary
-// for terms the store has never seen (BIND results, VALUES constants) and
-// the scratch buffers reused across the hot loops.
+// idExec holds what one execution needs besides the plan: the store
+// snapshot, the executor-local dictionary for terms the store has never
+// seen (BIND results, VALUES constants) and the scratch Binding reused
+// for expression evaluation.
 type idExec struct {
 	rd       store.ReaderAPI
 	maxStore store.ID // highest store-issued ID; larger IDs are local
@@ -71,13 +46,8 @@ type idExec struct {
 	localIDs map[rdf.Term]store.ID
 
 	nslots  int
-	names   []string   // slot → variable name
-	scratch Binding    // reusable binding for expression evaluation
-	joinRow []store.ID // reusable row assembled during joins
-
-	// prof collects the per-node EXPLAIN profile; nil (the default)
-	// keeps every hook to a single pointer check per node invocation.
-	prof *profiler
+	names   []string // slot → variable name
+	scratch Binding  // reusable binding for expression evaluation
 }
 
 func newIDExec(st store.Queryable) *idExec {
@@ -129,247 +99,6 @@ func (e *idExec) bindScratch(vars []varslot, r []store.ID) Binding {
 	return b
 }
 
-// --- pattern evaluation ---
-
-// evalGroup evaluates a compiled group. budget limits the number of rows
-// the group needs to produce (LIMIT pushdown); -1 means unlimited. The
-// budget only reaches the final join step and only when no filter could
-// later drop rows.
-func (e *idExec) evalGroup(g *cgroup, in *rowbuf, budget int) *rowbuf {
-	rows := in
-	if len(g.filters) > 0 {
-		budget = -1
-	}
-	for i, el := range g.elems {
-		b := -1
-		if i == len(g.elems)-1 {
-			b = budget
-		}
-		if e.prof != nil {
-			end := e.prof.node(el, int64(rows.n))
-			rows = e.evalNode(el, rows, b)
-			end(int64(rows.n))
-		} else {
-			rows = e.evalNode(el, rows, b)
-		}
-		if rows.n == 0 {
-			break
-		}
-	}
-	if len(g.filters) > 0 && rows.n > 0 {
-		var endFilter func(int64)
-		if e.prof != nil {
-			endFilter = e.prof.filterStep(g, int64(rows.n))
-		}
-		out := &rowbuf{stride: rows.stride}
-		for i := 0; i < rows.n; i++ {
-			r := rows.row(i)
-			keep := true
-			for _, f := range g.filters {
-				ok, err := evalBool(f.expr, e.bindScratch(f.vars, r))
-				if err != nil || !ok {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out.add(r)
-			}
-		}
-		rows = out
-		if endFilter != nil {
-			endFilter(int64(rows.n))
-		}
-	}
-	return rows
-}
-
-func (e *idExec) evalNode(n cnode, in *rowbuf, budget int) *rowbuf {
-	switch x := n.(type) {
-	case *cBGP:
-		return e.evalBGP(x, in, budget)
-	case *cgroup:
-		return e.evalGroup(x, in, budget)
-	case *cOptional:
-		out := &rowbuf{stride: in.stride}
-		one := &rowbuf{stride: in.stride, n: 1}
-		for i := 0; i < in.n; i++ {
-			r := in.row(i)
-			one.data = r
-			ext := e.evalGroup(x.inner, one, -1)
-			if ext.n == 0 {
-				out.add(r)
-			} else {
-				out.appendAll(ext)
-			}
-		}
-		return out
-	case *cUnion:
-		l := e.evalGroup(x.left, in, -1)
-		r := e.evalGroup(x.right, in, -1)
-		out := &rowbuf{stride: in.stride}
-		out.appendAll(l)
-		out.appendAll(r)
-		return out
-	case *cMinus:
-		empty := &rowbuf{stride: in.stride, data: make([]store.ID, in.stride), n: 1}
-		right := e.evalGroup(x.inner, empty, -1)
-		out := &rowbuf{stride: in.stride}
-		for i := 0; i < in.n; i++ {
-			r := in.row(i)
-			removed := false
-			for j := 0; j < right.n && !removed; j++ {
-				rr := right.row(j)
-				shared, equal := false, true
-				for s := 0; s < in.stride; s++ {
-					if r[s] != store.NoID && rr[s] != store.NoID {
-						shared = true
-						if r[s] != rr[s] {
-							equal = false
-							break
-						}
-					}
-				}
-				removed = shared && equal
-			}
-			if !removed {
-				out.add(r)
-			}
-		}
-		return out
-	case *cBind:
-		out := &rowbuf{stride: in.stride}
-		for i := 0; i < in.n; i++ {
-			r := in.row(i)
-			nr := e.joinRow[:in.stride]
-			copy(nr, r)
-			if t, err := evalExpr(x.expr, e.bindScratch(x.vars, r)); err == nil {
-				nr[x.slot] = e.intern(t)
-			}
-			out.add(nr)
-		}
-		return out
-	case *cValues:
-		out := &rowbuf{stride: in.stride}
-		for i := 0; i < in.n; i++ {
-			r := in.row(i)
-			for _, vr := range x.rows {
-				nr := e.joinRow[:in.stride]
-				copy(nr, r)
-				ok := true
-				for j, slot := range x.slots {
-					v := vr[j]
-					if v == store.NoID {
-						continue // UNDEF
-					}
-					if cur := nr[slot]; cur != store.NoID {
-						if cur != v {
-							ok = false
-							break
-						}
-					} else {
-						nr[slot] = v
-					}
-				}
-				if ok {
-					out.add(nr)
-				}
-			}
-		}
-		return out
-	}
-	return &rowbuf{stride: in.stride}
-}
-
-// evalBGP joins the compiled triple patterns with greedy selectivity
-// ordering. Cardinality estimates are memoized per pattern and only
-// recomputed when the pattern's bound-variable signature changes.
-func (e *idExec) evalBGP(b *cBGP, in *rowbuf, budget int) *rowbuf {
-	n := len(b.pats)
-	if n == 0 {
-		return in
-	}
-	bound := make([]bool, e.nslots)
-	if in.n > 0 {
-		for s, v := range in.row(0) {
-			if v != store.NoID {
-				bound[s] = true
-			}
-		}
-	}
-	type est struct {
-		card  int
-		sig   uint8
-		valid bool
-	}
-	ests := make([]est, n)
-	used := make([]bool, n)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		first := len(order) == 0
-		best, bestCard, bestConn := -1, 0, false
-		for i := range b.pats {
-			if used[i] {
-				continue
-			}
-			p := &b.pats[i]
-			conn := first
-			for _, s := range p.slots {
-				if bound[s] {
-					conn = true
-					break
-				}
-			}
-			sig := boundSig(p, bound)
-			if !ests[i].valid || ests[i].sig != sig {
-				ests[i] = est{card: e.estimate(p, bound), sig: sig, valid: true}
-			}
-			if best == -1 || (conn && !bestConn) || (conn == bestConn && ests[i].card < bestCard) {
-				best, bestCard, bestConn = i, ests[i].card, conn
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, s := range b.pats[best].slots {
-			bound[s] = true
-		}
-	}
-	rows := in
-	for k, idx := range order {
-		bgt := -1
-		if k == n-1 {
-			bgt = budget
-		}
-		if e.prof != nil {
-			end := e.prof.pattern(&b.pats[idx], k+1, int64(rows.n))
-			rows = e.joinPattern(&b.pats[idx], rows, bgt)
-			end(int64(rows.n))
-		} else {
-			rows = e.joinPattern(&b.pats[idx], rows, bgt)
-		}
-		if rows.n == 0 {
-			return rows
-		}
-	}
-	return rows
-}
-
-// boundSig fingerprints which of the pattern's variable positions are
-// bound; the memoized cardinality estimate is invalidated when it changes.
-func boundSig(p *cpattern, bound []bool) uint8 {
-	var sig uint8
-	if p.s.isVar() && bound[p.s.slot] {
-		sig |= 1
-	}
-	if p.p.isVar() && bound[p.p.slot] {
-		sig |= 2
-	}
-	if p.o.isVar() && bound[p.o.slot] {
-		sig |= 4
-	}
-	return sig
-}
-
 // estimate returns the expected number of matches of p given the current
 // bound set: the exact index cardinality over the constant positions,
 // refined by an average-fanout division for every row-bound variable.
@@ -414,64 +143,6 @@ func divClamp(a, b int) int {
 	return a
 }
 
-// hashJoinMinRows is the input size above which joining through a hash
-// table on the shared variable is considered instead of per-row index
-// probes.
-const hashJoinMinRows = 64
-
-// joinPattern extends every input row with the matches of p. The inner
-// loop works purely on IDs: a fully-bound pattern is a binary search on
-// the sorted SPO postings, otherwise the pattern probes the best
-// permutation index, and large single-variable joins go through a hash
-// table built from one index scan.
-func (e *idExec) joinPattern(p *cpattern, in *rowbuf, budget int) *rowbuf {
-	out := &rowbuf{stride: in.stride}
-	if in.n == 0 {
-		return out
-	}
-	if budget < 0 && in.n >= hashJoinMinRows {
-		if hj := e.tryHashJoin(p, in); hj != nil {
-			return hj
-		}
-	}
-	for i := 0; i < in.n; i++ {
-		r := in.row(i)
-		var pat store.IDPattern
-		sConc := resolvePos(p.s, r, &pat.S)
-		pConc := resolvePos(p.p, r, &pat.P)
-		oConc := resolvePos(p.o, r, &pat.O)
-		if pat.S > e.maxStore || pat.P > e.maxStore || pat.O > e.maxStore {
-			continue // locally-interned term: cannot match the store
-		}
-		if sConc && pConc && oConc {
-			if e.rd.HasID(pat.S, pat.P, pat.O) {
-				out.add(r)
-				if budget >= 0 && out.n >= budget {
-					return out
-				}
-			}
-			continue
-		}
-		stop := false
-		e.rd.MatchIDs(pat, func(s, pp, o store.ID) bool {
-			nr := e.joinRow[:in.stride]
-			copy(nr, r)
-			if bindPos(p.s, s, nr) && bindPos(p.p, pp, nr) && bindPos(p.o, o, nr) {
-				out.add(nr)
-				if budget >= 0 && out.n >= budget {
-					stop = true
-					return false
-				}
-			}
-			return true
-		})
-		if stop {
-			break
-		}
-	}
-	return out
-}
-
 // resolvePos writes the concrete ID of a pattern position (constant or
 // row-bound variable) into dst, reporting whether the position is
 // concrete for this row.
@@ -498,131 +169,6 @@ func bindPos(t cterm, v store.ID, r []store.ID) bool {
 	}
 	r[t.slot] = v
 	return true
-}
-
-// tryHashJoin joins in ⋈ p through a hash table on the single shared
-// variable. It applies when the pattern has exactly one row-bound
-// variable position (bound in every row), every other variable position is
-// unbound in every row, and one scan of the pattern is cheaper than
-// probing the index once per row. It returns nil when it does not apply.
-func (e *idExec) tryHashJoin(p *cpattern, in *rowbuf) *rowbuf {
-	terms := [3]cterm{p.s, p.p, p.o}
-	var pat store.IDPattern
-	patPos := [3]*store.ID{&pat.S, &pat.P, &pat.O}
-	joinPos := -1
-	var freePos []int
-	r0 := in.row(0)
-	for i, t := range terms {
-		if !t.isVar() {
-			if t.id > e.maxStore {
-				return &rowbuf{stride: in.stride} // dead constant: no matches
-			}
-			*patPos[i] = t.id
-			continue
-		}
-		if r0[t.slot] != store.NoID {
-			if joinPos >= 0 {
-				return nil // two bound positions: existence probes are cheap
-			}
-			joinPos = i
-		} else {
-			freePos = append(freePos, i)
-		}
-	}
-	if joinPos < 0 || len(freePos) == 0 {
-		return nil
-	}
-	joinSlot := terms[joinPos].slot
-	for _, fi := range freePos {
-		if terms[fi].slot == joinSlot {
-			return nil
-		}
-	}
-	if len(freePos) == 2 && terms[freePos[0]].slot == terms[freePos[1]].slot {
-		return nil // repeated free variable: nested loop handles unification
-	}
-	// the static classification must hold for every row, not just the first
-	for i := 0; i < in.n; i++ {
-		r := in.row(i)
-		if r[joinSlot] == store.NoID {
-			return nil
-		}
-		for _, fi := range freePos {
-			if r[terms[fi].slot] != store.NoID {
-				return nil
-			}
-		}
-	}
-	scan := e.rd.CardinalityIDs(pat)
-	if scan > in.n*8 {
-		return nil // building the table would cost more than probing
-	}
-	w := len(freePos)
-	table := make(map[store.ID][]store.ID, scan/2+1)
-	var vals [3]store.ID
-	e.rd.MatchIDs(pat, func(s, pp, o store.ID) bool {
-		vals[0], vals[1], vals[2] = s, pp, o
-		jv := vals[joinPos]
-		tuple := table[jv]
-		for _, fi := range freePos {
-			tuple = append(tuple, vals[fi])
-		}
-		table[jv] = tuple
-		return true
-	})
-	out := &rowbuf{stride: in.stride}
-	for i := 0; i < in.n; i++ {
-		r := in.row(i)
-		tuples := table[r[joinSlot]]
-		for k := 0; k < len(tuples); k += w {
-			nr := e.joinRow[:in.stride]
-			copy(nr, r)
-			for j, fi := range freePos {
-				nr[terms[fi].slot] = tuples[k+j]
-			}
-			out.add(nr)
-		}
-	}
-	return out
-}
-
-// --- result shaping ---
-
-// distinctRows deduplicates rows on the given slot tuple (a slot of -1
-// reads as unbound). Keys are ID tuples — comparable arrays for narrow
-// projections, packed bytes otherwise — so no term is materialized.
-func (e *idExec) distinctRows(rb *rowbuf, slots []int) *rowbuf {
-	out := &rowbuf{stride: rb.stride}
-	if len(slots) <= 4 {
-		seen := make(map[[4]store.ID]struct{}, rb.n)
-		for i := 0; i < rb.n; i++ {
-			r := rb.row(i)
-			var key [4]store.ID
-			for j, s := range slots {
-				if s >= 0 {
-					key[j] = r[s]
-				}
-			}
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			out.add(r)
-		}
-		return out
-	}
-	seen := make(map[string]struct{}, rb.n)
-	buf := make([]byte, 0, len(slots)*4)
-	for i := 0; i < rb.n; i++ {
-		r := rb.row(i)
-		buf = packIDKey(buf[:0], r, slots)
-		if _, dup := seen[string(buf)]; dup {
-			continue
-		}
-		seen[string(buf)] = struct{}{}
-		out.add(r)
-	}
-	return out
 }
 
 // packIDKey appends the 4-byte little-endian encoding of the row's IDs at
@@ -675,41 +221,26 @@ func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
 	rb.data = sorted
 }
 
+// materialize converts one row into a Binding over every bound variable.
+func (e *idExec) materialize(r []store.ID) Binding {
+	b := make(Binding, len(r))
+	for s, v := range r {
+		if v != store.NoID {
+			b[e.names[s]] = e.term(v)
+		}
+	}
+	return b
+}
+
 // materializeAll converts rows into Bindings over every bound variable —
-// the serialization boundary.
+// the boundary to the term-space grouping and CONSTRUCT templating.
 func (e *idExec) materializeAll(rb *rowbuf) []Binding {
 	out := make([]Binding, rb.n)
-	for i := 0; i < rb.n; i++ {
-		r := rb.row(i)
-		b := make(Binding, rb.stride)
-		for s, v := range r {
-			if v != store.NoID {
-				b[e.names[s]] = e.term(v)
-			}
-		}
-		out[i] = b
+	for i := range out {
+		out[i] = e.materialize(rb.row(i))
 	}
 	return out
 }
-
-// materializeProj converts rows into Bindings restricted to the projected
-// variables (slot -1 = never bound).
-func (e *idExec) materializeProj(rb *rowbuf, vars []string, slots []int) []Binding {
-	out := make([]Binding, rb.n)
-	for i := 0; i < rb.n; i++ {
-		r := rb.row(i)
-		b := make(Binding, len(vars))
-		for j, s := range slots {
-			if s >= 0 && r[s] != store.NoID {
-				b[vars[j]] = e.term(r[s])
-			}
-		}
-		out[i] = b
-	}
-	return out
-}
-
-// --- query execution over the compiled plan ---
 
 // aliasProj is a compiled (expr AS ?var) projection element.
 type aliasProj struct {
@@ -723,14 +254,11 @@ type aliasProj struct {
 func (e *idExec) freeze(comp *compiler) {
 	e.nslots = comp.slots.count()
 	e.names = comp.slots.names
-	e.joinRow = make([]store.ID, e.nslots)
 }
 
 // resolveSelect resolves ORDER BY references and projection aliases,
 // freezes the slot table, and computes the projected variable list and
-// slots — the projection surface shared by the batch (execID) and
-// streaming (Stream) non-grouped SELECT paths, kept in one place so the
-// two cannot drift apart.
+// slots of a non-grouped SELECT.
 func (q *Query) resolveSelect(comp *compiler, ex *idExec) (aliases []aliasProj, vars []string, projSlots []int, obVars [][]varslot) {
 	for _, c := range q.OrderBy {
 		obVars = append(obVars, comp.exprVars(c.Expr))
@@ -744,10 +272,7 @@ func (q *Query) resolveSelect(comp *compiler, ex *idExec) (aliases []aliasProj, 
 	if q.Star {
 		vars = q.starVars()
 	} else {
-		vars = make([]string, len(q.Select))
-		for i, it := range q.Select {
-			vars[i] = it.Var
-		}
+		vars = selectVars(q.Select)
 	}
 	projSlots = make([]int, len(vars))
 	for i, v := range vars {
@@ -756,271 +281,13 @@ func (q *Query) resolveSelect(comp *compiler, ex *idExec) (aliases []aliasProj, 
 	return aliases, vars, projSlots, obVars
 }
 
-// execID runs the query through the ID-space engine.
-func (q *Query) execID(st store.Queryable) (*Result, error) {
-	return q.execIDProf(st, nil)
-}
-
-// execIDProf is execID with an optional EXPLAIN profiler attached: prof
-// (when non-nil) receives the planning time, the annotated plan tree and
-// the top-level stage sequence.
-func (q *Query) execIDProf(st store.Queryable, prof *profiler) (*Result, error) {
-	ex := newIDExec(st)
-	ex.prof = prof
-	comp := &compiler{ex: ex, slots: newSlotmap()}
-	var planT0 time.Time
-	if prof != nil {
-		planT0 = time.Now()
-	}
-	root, err := comp.group(q.Where)
-	if err != nil {
-		return nil, err
-	}
-
-	needsGroup := q.needsGrouping()
-
-	var aliases []aliasProj
-	var vars []string
-	var projSlots []int
-	var obVars [][]varslot
-	if q.Form == FormSelect && !needsGroup {
-		aliases, vars, projSlots, obVars = q.resolveSelect(comp, ex)
-	} else {
-		ex.freeze(comp)
-	}
-	if prof != nil {
-		prof.planNs = time.Since(planT0).Nanoseconds()
-		prof.build(root, ex)
-	}
-
-	// LIMIT pushdown for modifier-free evaluation: nothing downstream can
-	// reorder or drop rows, so the final join may stop early.
-	budget := -1
-	switch {
-	case q.Form == FormAsk:
-		budget = 1
-	case q.Form == FormConstruct && q.Limit >= 0:
-		budget = q.Offset + q.Limit
-	case q.Form == FormSelect && q.Limit >= 0 && !needsGroup &&
-		len(q.OrderBy) == 0 && !q.Distinct && !q.Reduced:
-		budget = q.Offset + q.Limit
-	}
-
-	in := &rowbuf{stride: ex.nslots, data: make([]store.ID, ex.nslots), n: 1}
-	endWhere := prof.stage("where", int64(in.n))
-	rows := ex.evalGroup(root, in, budget)
-	endWhere(int64(rows.n))
-
-	if q.Form == FormAsk {
-		return &Result{Ask: true, Boolean: rows.n > 0}, nil
-	}
-	if q.Form == FormConstruct {
-		end := prof.stage("construct", int64(rows.n))
-		rows = rows.window(q.Offset, q.Limit)
-		g := q.execConstruct(ex.materializeAll(rows))
-		end(int64(g.Len()))
-		return &Result{Graph: g}, nil
-	}
-
-	if needsGroup {
-		// Index-extraction style GROUP BY ?key / COUNT queries group on ID
-		// tuples without materializing a single solution; anything richer
-		// (SUM, HAVING, expression keys, …) computes fresh terms per group
-		// and runs at the term boundary over materialized solutions, like
-		// the legacy path.
-		endAgg := prof.stage("aggregate", int64(rows.n))
-		vars, out, ok := q.aggFastPath(ex, comp, rows)
-		if !ok {
-			sols := ex.materializeAll(rows)
-			var err error
-			vars, out, err = q.aggregate(sols)
-			if err != nil {
-				return nil, err
-			}
-		}
-		endAgg(int64(len(out)))
-		if len(q.OrderBy) > 0 {
-			end := prof.stage("order-by", int64(len(out)))
-			sortSolutions(out, q.OrderBy)
-			end(int64(len(out)))
-		}
-		if q.Distinct || q.Reduced {
-			end := prof.stage("distinct", int64(len(out)))
-			out = distinct(out, vars)
-			end(int64(len(out)))
-		}
-		endWin := prof.stage("window", int64(len(out)))
-		out = windowBindings(out, q.Offset, q.Limit)
-		endWin(int64(len(out)))
-		return &Result{Vars: vars, Rows: out}, nil
-	}
-
-	// Projection aliases are evaluated against the pre-alias row (aliases
-	// cannot see each other), then written into their slots.
-	if len(aliases) > 0 {
-		end := prof.stage("aliases", int64(rows.n))
-		tmp := make([]store.ID, len(aliases))
-		for i := 0; i < rows.n; i++ {
-			r := rows.row(i)
-			for j, a := range aliases {
-				tmp[j] = store.NoID
-				if t, err := evalExpr(a.expr, ex.bindScratch(a.vars, r)); err == nil {
-					tmp[j] = ex.intern(t)
-				}
-			}
-			for j, a := range aliases {
-				if tmp[j] != store.NoID {
-					r[a.slot] = tmp[j]
-				}
-			}
-		}
-		end(int64(rows.n))
-	}
-	if len(q.OrderBy) > 0 {
-		if k := q.topKBound(); k >= 0 && !q.Distinct && !q.Reduced {
-			// ORDER BY … LIMIT: bounded top-k selection instead of the
-			// full sort — only OFFSET+LIMIT rows are ever retained, and
-			// DISTINCT is excluded because deduplication after the heap
-			// could shrink the window below k.
-			end := prof.stage("top-k", int64(rows.n))
-			rows = ex.topKRows(rows, q.OrderBy, obVars, k)
-			end(int64(rows.n))
-		} else {
-			end := prof.stage("order-by", int64(rows.n))
-			ex.sortRows(rows, q.OrderBy, obVars)
-			end(int64(rows.n))
-		}
-	}
-
-	if q.Distinct || q.Reduced {
-		end := prof.stage("distinct", int64(rows.n))
-		rows = ex.distinctRows(rows, projSlots)
-		end(int64(rows.n))
-	}
-	endWin := prof.stage("window", int64(rows.n))
-	rows = rows.window(q.Offset, q.Limit)
-	endWin(int64(rows.n))
-	endProj := prof.stage("project", int64(rows.n))
-	var out []Binding
-	if q.Star {
-		// SELECT * keeps every bound variable, like the term-space path.
-		out = ex.materializeAll(rows)
-	} else {
-		out = ex.materializeProj(rows, vars, projSlots)
-	}
-	endProj(int64(len(out)))
-	return &Result{Vars: vars, Rows: out}, nil
-}
-
-// aggFastPath evaluates GROUP BY / COUNT queries entirely in ID space:
-// group keys are plain variables (ID tuples) and every projection is a
-// group key or a plain COUNT. It reports false when the query needs the
-// general term-space aggregation.
-func (q *Query) aggFastPath(ex *idExec, comp *compiler, rows *rowbuf) ([]string, []Binding, bool) {
-	if len(q.Having) > 0 {
-		return nil, nil, false
-	}
-	gslots := make([]int, len(q.GroupBy))
-	gkey := map[string]bool{}
-	for i, ge := range q.GroupBy {
-		v, ok := ge.(*ExprVar)
-		if !ok {
-			return nil, nil, false
-		}
-		gslots[i] = comp.slots.lookup(v.Name)
-		gkey[v.Name] = true
-	}
-	// projections: group-key variable, COUNT(*) or COUNT(?v)
-	type proj struct {
-		isKey     bool
-		keySlot   int // group-key variable slot; -1 when never bound
-		countSlot int // ≥0 counts bound ?v, -1 counts rows, -2 counts nothing
-	}
-	projs := make([]proj, len(q.Select))
-	vars := make([]string, len(q.Select))
-	for i, it := range q.Select {
+// selectVars lists the variables of a projection, in order.
+func selectVars(items []SelectItem) []string {
+	vars := make([]string, len(items))
+	for i, it := range items {
 		vars[i] = it.Var
-		if it.Expr == nil {
-			if !gkey[it.Var] {
-				return nil, nil, false // sampling non-key vars: slow path
-			}
-			projs[i] = proj{isKey: true, keySlot: comp.slots.lookup(it.Var), countSlot: -2}
-			continue
-		}
-		if it.Var == "" {
-			return nil, nil, false // missing AS: slow path raises the error
-		}
-		agg, ok := it.Expr.(*ExprAggregate)
-		if !ok || agg.Fn != "COUNT" || agg.Distinct {
-			return nil, nil, false
-		}
-		p := proj{keySlot: -1, countSlot: -1}
-		if agg.Arg != nil {
-			av, ok := agg.Arg.(*ExprVar)
-			if !ok {
-				return nil, nil, false
-			}
-			if p.countSlot = comp.slots.lookup(av.Name); p.countSlot < 0 {
-				p.countSlot = -2 // variable never bound: counts zero
-			}
-		}
-		projs[i] = p
 	}
-
-	type group struct {
-		rep    []store.ID // representative row (group-key slots)
-		counts []int      // one per projection
-	}
-	var order []*group
-	nproj := len(projs)
-	tally := func(g *group, r []store.ID) {
-		for pi, p := range projs {
-			switch {
-			case p.isKey:
-			case p.countSlot == -1:
-				g.counts[pi]++
-			case p.countSlot >= 0 && r[p.countSlot] != store.NoID:
-				g.counts[pi]++
-			}
-		}
-	}
-	if len(q.GroupBy) == 0 {
-		g := &group{counts: make([]int, nproj)}
-		order = append(order, g)
-		for i := 0; i < rows.n; i++ {
-			tally(g, rows.row(i))
-		}
-	} else {
-		groups := map[string]*group{}
-		buf := make([]byte, 0, len(gslots)*4)
-		for i := 0; i < rows.n; i++ {
-			r := rows.row(i)
-			buf = packIDKey(buf[:0], r, gslots)
-			g, ok := groups[string(buf)]
-			if !ok {
-				g = &group{rep: r, counts: make([]int, nproj)}
-				groups[string(buf)] = g
-				order = append(order, g)
-			}
-			tally(g, r)
-		}
-	}
-
-	out := make([]Binding, 0, len(order))
-	for _, g := range order {
-		b := make(Binding, nproj)
-		for pi, p := range projs {
-			if p.isKey {
-				if p.keySlot >= 0 && g.rep != nil && g.rep[p.keySlot] != store.NoID {
-					b[vars[pi]] = ex.term(g.rep[p.keySlot])
-				}
-				continue
-			}
-			b[vars[pi]] = rdf.NewInteger(int64(g.counts[pi]))
-		}
-		out = append(out, b)
-	}
-	return vars, out, true
+	return vars
 }
 
 func windowBindings(rows []Binding, offset, limit int) []Binding {

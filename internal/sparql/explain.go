@@ -1,19 +1,20 @@
 package sparql
 
-// EXPLAIN support: Query.Explain runs the query through the ID-space
-// engine with a profiler attached, producing the compiled plan tree
-// annotated with per-node row counts and timings plus the flat sequence
-// of top-level execution stages (where → aliases → order-by → distinct →
-// window → project). The final stage's RowsOut always equals the number
-// of rows the same query would actually return, so an explain can be
-// checked against a real execution row for row.
+// EXPLAIN support: Query.Explain runs the query through the same
+// pipeline as Stream and Exec with a profiler attached, producing the
+// compiled plan tree annotated with exact per-node call and row counts
+// plus the sequence of stages the solutions passed (where → aliases →
+// group → order → distinct → window → project, each named after the
+// operator that ran). The final stage's RowsOut always equals the number
+// of rows the same query actually returns, so an explain can be checked
+// against a real execution row for row.
 //
-// The profiler is a nil-by-default field on the executor: every hook is
-// a single pointer check per plan-node invocation (never per row), so
-// the unprofiled path stays at full speed.
+// The profiler is a nil-by-default field of the pipeline: every hook is
+// a single pointer check, and the counting wrappers are only built when
+// a profiler is attached, so the unprofiled path stays at full speed.
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -24,7 +25,7 @@ import (
 // ExplainNode annotates one compiled plan node.
 type ExplainNode struct {
 	// Kind is the node type: group, bgp, pattern, filter, optional,
-	// union, minus, bind, values, legacy.
+	// union, minus, bind, values.
 	Kind string `json:"kind"`
 	// Detail is a human-readable rendering (the triple pattern, the
 	// bound variable, ...).
@@ -32,16 +33,14 @@ type ExplainNode struct {
 	// Order is the 1-based position the greedy optimizer chose for a
 	// pattern within its BGP (0 for non-pattern nodes).
 	Order int `json:"order,omitempty"`
-	// Calls counts node invocations (an OPTIONAL inner group runs once
-	// per outer row).
+	// Calls counts node invocations: the streaming operators run a node
+	// once per input row, so an OPTIONAL inner group runs once per outer
+	// row.
 	Calls int64 `json:"calls,omitempty"`
 	// RowsIn / RowsOut accumulate rows entering and leaving the node
 	// across all invocations.
-	RowsIn  int64 `json:"rowsIn"`
-	RowsOut int64 `json:"rowsOut"`
-	// TimeNs is the cumulative wall time spent in the node (children
-	// included).
-	TimeNs   int64          `json:"timeNs"`
+	RowsIn   int64          `json:"rowsIn"`
+	RowsOut  int64          `json:"rowsOut"`
 	Children []*ExplainNode `json:"children,omitempty"`
 }
 
@@ -50,13 +49,13 @@ type ExplainStage struct {
 	Name    string `json:"name"`
 	RowsIn  int64  `json:"rowsIn"`
 	RowsOut int64  `json:"rowsOut"`
-	TimeNs  int64  `json:"timeNs"`
+	// TimeNs is the stage's own wall time: streamed stages interleave,
+	// and each is charged only while a row is inside it.
+	TimeNs int64 `json:"timeNs"`
 }
 
 // Explain is the per-query profile returned instead of rows.
 type Explain struct {
-	// Engine is the engine that executed the query: id-space or legacy.
-	Engine string `json:"engine"`
 	// Form is the query form: SELECT, ASK, or CONSTRUCT.
 	Form string `json:"form"`
 	// Vars is the projected variable list (SELECT only).
@@ -71,91 +70,122 @@ type Explain struct {
 	// Plan is the compiled pattern tree with per-node profile.
 	Plan *ExplainNode `json:"plan,omitempty"`
 	// Stages are the top-level execution stages in run order; the last
-	// stage's rowsOut equals Rows for SELECT queries.
+	// stage's rowsOut equals Rows.
 	Stages []ExplainStage `json:"stages,omitempty"`
 }
 
 // profiler accumulates the per-node and per-stage profile during one
 // profiled execution. A nil *profiler disables every hook.
 type profiler struct {
-	nodes   map[any]*ExplainNode // cnode or *cpattern → its annotation
-	filters map[*cgroup]*ExplainNode
-	stages  []ExplainStage
-	plan    *ExplainNode
-	planNs  int64
+	nodes  map[any]*ExplainNode // cnode, *cpattern or a group's *[]cfilter → its annotation
+	stages []ExplainStage
+	cur    int       // the stage the clock is charging
+	last   time.Time // when the clock last switched stages
+	plan   *ExplainNode
+	planNs int64
 }
 
 func newProfiler() *profiler {
-	return &profiler{
-		nodes:   make(map[any]*ExplainNode),
-		filters: make(map[*cgroup]*ExplainNode),
-	}
+	return &profiler{nodes: make(map[any]*ExplainNode)}
 }
 
-// noopEnd is the shared closer handed out when profiling is off, so the
-// unprofiled path allocates nothing.
-var noopEnd = func(int64) {}
-
-// node opens a timed accounting window for one plan-node invocation; the
-// returned func closes it with the output row count.
-func (p *profiler) node(key any, in int64) func(out int64) {
-	en := p.nodes[key]
-	if en == nil {
-		return noopEnd
-	}
-	t0 := time.Now()
-	return func(out int64) {
-		en.Calls++
-		en.RowsIn += in
-		en.RowsOut = out
-		en.TimeNs += time.Since(t0).Nanoseconds()
-	}
-}
-
-// pattern is node plus the greedy-order position within the BGP.
-func (p *profiler) pattern(key *cpattern, order int, in int64) func(out int64) {
-	en := p.nodes[key]
-	if en == nil {
-		return noopEnd
-	}
-	en.Order = order
-	t0 := time.Now()
-	return func(out int64) {
-		en.Calls++
-		en.RowsIn += in
-		en.RowsOut = out
-		en.TimeNs += time.Since(t0).Nanoseconds()
-	}
-}
-
-// filterStep accounts the FILTER pass of one group evaluation.
-func (p *profiler) filterStep(g *cgroup, in int64) func(out int64) {
-	en := p.filters[g]
-	if en == nil {
-		return noopEnd
-	}
-	t0 := time.Now()
-	return func(out int64) {
-		en.Calls++
-		en.RowsIn += in
-		en.RowsOut = out
-		en.TimeNs += time.Since(t0).Nanoseconds()
-	}
-}
-
-// stage opens a timed top-level stage; the returned func closes it.
-// Safe (and free) on a nil profiler.
-func (p *profiler) stage(name string, in int64) func(out int64) {
+// enterNode counts one invocation of a plan node with one input row and
+// returns its annotation; nil without a profiler.
+func (p *profiler) enterNode(key any) *ExplainNode {
 	if p == nil {
-		return noopEnd
+		return nil
 	}
-	t0 := time.Now()
-	return func(out int64) {
-		p.stages = append(p.stages, ExplainStage{
-			Name: name, RowsIn: in, RowsOut: out,
-			TimeNs: time.Since(t0).Nanoseconds(),
-		})
+	en := p.nodes[key]
+	if en != nil {
+		en.Calls++
+		en.RowsIn++
 	}
+	return en
+}
+
+// countOut wraps yield so every row a node emits counts toward its
+// RowsOut.
+func countOut(en *ExplainNode, yield streamYield) streamYield {
+	return func(r []store.ID, free int) bool {
+		en.RowsOut++
+		return yield(r, free)
+	}
+}
+
+// patternOrder records the greedy join order chosen for a BGP.
+func (p *profiler) patternOrder(b *cBGP, order []int) {
+	if p == nil {
+		return
+	}
+	for k, i := range order {
+		if en := p.nodes[&b.pats[i]]; en != nil {
+			en.Order = k + 1
+		}
+	}
+}
+
+// addStage registers the next stage in run order with in rows already
+// counted, and returns its index; -1 without a profiler. The clock
+// starts with the first stage.
+func (p *profiler) addStage(name string, in int64) int {
+	if p == nil {
+		return -1
+	}
+	if len(p.stages) == 0 {
+		p.last = time.Now()
+	}
+	p.stages = append(p.stages, ExplainStage{Name: name, RowsIn: in})
+	return len(p.stages) - 1
+}
+
+// enter charges the time since the last switch to the running stage,
+// makes stage i the running one, and returns the stage it replaced.
+func (p *profiler) enter(i int) int {
+	if p == nil {
+		return -1
+	}
+	now := time.Now()
+	p.stages[p.cur].TimeNs += now.Sub(p.last).Nanoseconds()
+	p.last = now
+	prev := p.cur
+	p.cur = i
+	return prev
+}
+
+// begin registers and enters a blocking stage over in collected rows.
+func (p *profiler) begin(name string, in int) {
+	if p != nil {
+		p.enter(p.addStage(name, int64(in)))
+	}
+}
+
+// meter wraps the row sink of stage i: each row handed to it counts as
+// one of the stage's RowsIn, and the stage is charged until it hands the
+// row on or drops it. Without a profiler sink comes back unwrapped.
+func (p *profiler) meter(i int, sink rowSink) rowSink {
+	if p == nil {
+		return sink
+	}
+	return func(r []store.ID) bool {
+		p.stages[i].RowsIn++
+		prev := p.enter(i)
+		ok := sink(r)
+		p.enter(prev)
+		return ok
+	}
+}
+
+// finish stops the clock and derives each stage's RowsOut from the next
+// stage's RowsIn; the last stage produced out rows.
+func (p *profiler) finish(out int64) {
+	if len(p.stages) == 0 {
+		return
+	}
+	p.enter(p.cur)
+	for i := 0; i+1 < len(p.stages); i++ {
+		p.stages[i].RowsOut = p.stages[i+1].RowsIn
+	}
+	p.stages[len(p.stages)-1].RowsOut = out
 }
 
 // build constructs the annotated plan tree mirroring the compiled
@@ -172,7 +202,7 @@ func (p *profiler) buildGroup(g *cgroup, ex *idExec) *ExplainNode {
 	}
 	if len(g.filters) > 0 {
 		fn := &ExplainNode{Kind: "filter", Detail: fmt.Sprintf("%d condition(s)", len(g.filters))}
-		p.filters[g] = fn
+		p.nodes[&g.filters] = fn
 		en.Children = append(en.Children, fn)
 	}
 	return en
@@ -245,37 +275,31 @@ func renderPattern(p *cpattern, ex *idExec) string {
 }
 
 // Explain executes the query against st with profiling and returns the
-// annotated plan instead of rows. Queries the ID-space engine cannot
-// plan fall back to the legacy evaluator and produce a single-node
-// profile (total rows and time only).
+// annotated plan instead of rows.
 func (q *Query) Explain(st store.Queryable) (*Explain, error) {
-	prof := newProfiler()
 	t0 := time.Now()
-	res, err := q.execIDProf(st, prof)
-	if errors.Is(err, errUnsupportedPlan) {
-		lt0 := time.Now()
-		res, err = q.execLegacy(st)
-		if err != nil {
-			return nil, err
-		}
-		out := &Explain{
-			Engine: "legacy",
-			Form:   q.Form.String(),
-			Vars:   res.Vars,
-			Rows:   resultRows(res),
-			ExecNs: time.Since(lt0).Nanoseconds(),
-			Plan:   &ExplainNode{Kind: "legacy", RowsOut: int64(resultRows(res))},
-		}
-		return out, nil
-	}
+	p, err := q.compile(context.Background(), st)
 	if err != nil {
 		return nil, err
 	}
+	prof := newProfiler()
+	prof.planNs = time.Since(t0).Nanoseconds()
+	prof.build(p.root, p.ex)
+	p.prof, p.se.prof = prof, prof
+	rs, err := p.rowSeq()
+	if err != nil {
+		return nil, err
+	}
+	res, err := rs.Collect()
+	if err != nil {
+		return nil, err
+	}
+	rows := resultRows(res)
+	prof.finish(int64(rows))
 	return &Explain{
-		Engine:     "id-space",
 		Form:       q.Form.String(),
 		Vars:       res.Vars,
-		Rows:       resultRows(res),
+		Rows:       rows,
 		PlanningNs: prof.planNs,
 		ExecNs:     time.Since(t0).Nanoseconds(),
 		Plan:       prof.plan,

@@ -6,7 +6,7 @@ package sparql
 // are dense slot indices and whose constant terms are interned IDs. A
 // solution row is then a flat []store.ID of length nslots — no maps, no
 // rdf.Term values — and the whole pattern algebra executes on rows in that
-// encoded space (see exec.go). Terms are materialized only at the
+// encoded space (see stream.go). Terms are materialized only at the
 // projection / FILTER / serialization boundaries.
 //
 // Constants the store has never seen (and terms produced by BIND/VALUES
@@ -23,8 +23,8 @@ import (
 	"repro/internal/store"
 )
 
-// errUnsupportedPlan marks queries the ID-space compiler cannot plan;
-// EngineAuto falls back to the legacy term-space evaluator on it.
+// errUnsupportedPlan marks a pattern type the ID-space compiler does not
+// know; every pattern the parser produces compiles.
 var errUnsupportedPlan = errors.New("sparql: query not supported by the ID-space engine")
 
 // slotmap assigns dense slot indices to variable names.

@@ -107,42 +107,6 @@ func termFromJSON(jt jsonTerm) (rdf.Term, error) {
 	}
 }
 
-// CSV renders the result as RFC 4180-ish CSV (SPARQL CSV results format).
-func (r *Result) CSV() string {
-	var sb strings.Builder
-	if r.Ask {
-		sb.WriteString("boolean\r\n")
-		sb.WriteString(fmt.Sprintf("%v\r\n", r.Boolean))
-		return sb.String()
-	}
-	for i, v := range r.Vars {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(v)
-	}
-	sb.WriteString("\r\n")
-	for _, row := range r.Rows {
-		for i, v := range r.Vars {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if t, ok := row[v]; ok {
-				sb.WriteString(csvEscape(t.Value))
-			}
-		}
-		sb.WriteString("\r\n")
-	}
-	return sb.String()
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n\r") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
-}
-
 // Table renders the result as an aligned text table for CLI output.
 func (r *Result) Table() string {
 	if r.Ask {

@@ -483,19 +483,6 @@ func TestJSONAskRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCSVOutput(t *testing.T) {
-	st := fixtureStore(t)
-	res := exec(t, st, `PREFIX ex: <http://ex/>
-		SELECT ?p ?a WHERE { ?p ex:age ?a } ORDER BY ?a LIMIT 1`)
-	csv := res.CSV()
-	if !strings.HasPrefix(csv, "p,a\r\n") {
-		t.Fatalf("csv header = %q", csv)
-	}
-	if !strings.Contains(csv, "25") {
-		t.Fatalf("csv = %q", csv)
-	}
-}
-
 func TestTableOutput(t *testing.T) {
 	st := fixtureStore(t)
 	res := exec(t, st, `PREFIX ex: <http://ex/> SELECT ?p WHERE { ?p a ex:Event } ORDER BY ?p`)

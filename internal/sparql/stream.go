@@ -1,22 +1,20 @@
 package sparql
 
-// Streaming query execution. A RowSeq is the incremental counterpart of
-// Result: rows are produced one at a time, straight out of the ID-space
-// executor's join pipeline, so a consumer that stops early (LIMIT, a
+// Query execution. One pipeline serves Stream, Exec and Explain: the
+// query is compiled against a store snapshot (plan.go), the WHERE clause
+// runs depth-first through the streaming operators below — each row
+// travels the whole join pipeline alone and reaches the solution
+// modifiers as soon as its last pattern matches — and the modifiers form
+// one stage chain: aliases → group → order → distinct → window →
+// project. Operators that can stream do (plain rows, the bounded top-k
+// heap, accumulator grouping), so a consumer that stops early (LIMIT, a
 // canceled context, an abandoned HTTP connection) costs only the rows it
-// actually pulled and memory stays O(row) instead of O(result).
-//
-// The streaming executor reuses the compiled plan of exec.go but drives
-// it depth-first: instead of extending a whole row buffer pattern by
-// pattern, each row travels the entire pipeline alone, yielding at the
-// end. Solution modifiers that inherently need the full solution set
-// (ORDER BY, GROUP BY/aggregates) and the non-SELECT forms fall back to
-// materialized execution and stream from the finished Result, so every
-// query streams — just not every query streams incrementally.
+// actually pulled. The rest — full ORDER BY, term-space grouping,
+// CONSTRUCT — block on the collected ID rows and then stream their
+// output through the same tail of the chain.
 
 import (
 	"context"
-	"errors"
 	"iter"
 	"time"
 
@@ -45,6 +43,7 @@ type RowSeq struct {
 	// (such queries have no row stream to speak of).
 	Graph *rdf.Graph
 
+	seq     iter.Seq[Binding] // push producer, until the first Next pulls it
 	next    func() (Binding, bool)
 	stop    func()
 	onClose func()
@@ -69,10 +68,10 @@ func (rs *RowSeq) OnClose(fn func()) {
 // NewRowSeq builds a RowSeq over a push iterator. The producer reports a
 // mid-stream failure by setting *errp before returning; errp may be nil
 // for infallible producers. The producer runs on the consumer's
-// goroutine (via iter.Pull), so no synchronization is needed around errp.
+// goroutine (via iter.Pull, or a plain range in Collect), so no
+// synchronization is needed around errp.
 func NewRowSeq(vars []string, seq iter.Seq[Binding], errp *error) *RowSeq {
-	next, stop := iter.Pull(seq)
-	return &RowSeq{Vars: vars, next: next, stop: stop, errp: errp}
+	return &RowSeq{Vars: vars, seq: seq, errp: errp}
 }
 
 // ResultSeq adapts a materialized Result to the streaming interface.
@@ -91,46 +90,23 @@ func ResultSeq(res *Result) *RowSeq {
 	}
 }
 
-// resultSeqCtx streams a materialized Result but honors ctx between
-// rows, so even fallback streams cancel within one row boundary.
-func resultSeqCtx(ctx context.Context, res *Result) *RowSeq {
-	var err error
-	i := 0
-	return &RowSeq{
-		Vars: res.Vars, Ask: res.Ask, Boolean: res.Boolean, Graph: res.Graph,
-		errp: &err,
-		next: func() (Binding, bool) {
-			if err = ctx.Err(); err != nil {
-				return nil, false
-			}
-			if i >= len(res.Rows) {
-				return nil, false
-			}
-			b := res.Rows[i]
-			i++
-			return b, true
-		},
-	}
-}
-
 // Next pulls the next row. ok is false once the stream is exhausted,
 // failed (see Err) or closed.
 func (rs *RowSeq) Next() (Binding, bool) {
-	if rs.done || rs.next == nil {
+	if rs.done {
 		return nil, false
 	}
-	b, ok := rs.next()
-	if !ok {
-		rs.done = true
-		if rs.stop != nil {
-			rs.stop()
-		}
-		if rs.onClose != nil {
-			rs.onClose()
-			rs.onClose = nil
+	if rs.seq != nil {
+		rs.next, rs.stop = iter.Pull(rs.seq)
+		rs.seq = nil
+	}
+	if rs.next != nil {
+		if b, ok := rs.next(); ok {
+			return b, true
 		}
 	}
-	return b, ok
+	rs.Close()
+	return nil, false
 }
 
 // All returns the remaining rows as a range-over-func iterator. Breaking
@@ -175,19 +151,28 @@ func (rs *RowSeq) Close() {
 	}
 }
 
-// Collect drains the stream into a materialized Result, closing it.
+// Collect drains the stream into a materialized Result, closing it. A
+// stream nobody has pulled from yet is drained by ranging over its
+// producer directly, without a coroutine switch per row.
 func (rs *RowSeq) Collect() (*Result, error) {
 	defer rs.Close()
 	if rs.Ask {
 		return &Result{Ask: true, Boolean: rs.Boolean}, rs.Err()
 	}
 	res := &Result{Vars: rs.Vars, Graph: rs.Graph}
-	for {
-		b, ok := rs.Next()
-		if !ok {
-			break
+	if seq := rs.seq; seq != nil && !rs.done {
+		rs.seq = nil
+		for b := range seq {
+			res.Rows = append(res.Rows, b)
 		}
-		res.Rows = append(res.Rows, b)
+	} else {
+		for {
+			b, ok := rs.Next()
+			if !ok {
+				break
+			}
+			res.Rows = append(res.Rows, b)
+		}
 	}
 	if err := rs.Err(); err != nil {
 		return nil, err
@@ -247,8 +232,8 @@ func (q *Query) kind() string {
 }
 
 // instrumentStream attaches per-query engine accounting to rs: rows are
-// counted as they are pulled, and at stream end (exhaustion or Close) the
-// query count, row count and duration land in kind-labeled registry
+// counted as they are produced, and at stream end (exhaustion or Close)
+// the query count, row count and duration land in kind-labeled registry
 // families; sp, when non-nil, is closed with the yielded row count. With
 // reg and sp both nil (the uninstrumented path) this is a no-op — no
 // wrapper, no per-row work.
@@ -257,13 +242,14 @@ func instrumentStream(rs *RowSeq, reg *obs.Registry, sp *obs.Span, kind string, 
 		return
 	}
 	var rows int64
-	if inner := rs.next; inner != nil {
-		rs.next = func() (Binding, bool) {
-			b, ok := inner()
-			if ok {
+	if inner := rs.seq; inner != nil {
+		rs.seq = func(yield func(Binding) bool) {
+			for b := range inner {
 				rows++
+				if !yield(b) {
+					return
+				}
 			}
-			return b, ok
 		}
 	}
 	rs.OnClose(func() {
@@ -275,6 +261,24 @@ func instrumentStream(rs *RowSeq, reg *obs.Registry, sp *obs.Span, kind string, 
 			reg.HistogramVec("hbold_query_duration_seconds", "Query wall time, stream open to stream end.", nil, "kind").With(kind).Observe(time.Since(start).Seconds())
 		}
 	})
+}
+
+// Exec parses and executes a query against any storage tier.
+func Exec(st store.Queryable, query string) (*Result, error) {
+	q, err := Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return q.Exec(st)
+}
+
+// Exec executes the parsed query against st and collects the result.
+func (q *Query) Exec(st store.Queryable) (*Result, error) {
+	rs, err := q.Stream(context.Background(), st)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
 }
 
 // StreamExec parses the query and streams it against st.
@@ -307,13 +311,10 @@ func (q *Query) needsGrouping() bool {
 	return false
 }
 
-// Stream executes the parsed query incrementally against st. SELECT
-// queries without ORDER BY or aggregation run on the streaming ID-space
-// pipeline and yield each solution as it is produced; everything else
-// (ASK, CONSTRUCT, grouped or ordered queries, plans only the legacy
-// evaluator supports) executes materialized and streams from the
-// finished Result. Either way the returned stream honors ctx between
-// rows, and the rows are identical to Exec's up to order.
+// Stream executes the parsed query incrementally against st. SELECT rows
+// are produced as the consumer pulls them; ASK and CONSTRUCT are answered
+// before Stream returns. The stream honors ctx between rows and during
+// index scans.
 func (q *Query) Stream(ctx context.Context, st store.Queryable) (*RowSeq, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -327,280 +328,371 @@ func (q *Query) Stream(ctx context.Context, st store.Queryable) (*RowSeq, error)
 	if reg != nil || sp != nil {
 		start = time.Now()
 	}
-	fail := func(err error) (*RowSeq, error) {
+	p, err := q.compile(ctx, st)
+	var rs *RowSeq
+	if err == nil {
+		if reg != nil {
+			reg.Histogram("hbold_query_compile_seconds", "Plan compilation time for ID-space streamed queries.", nil).Observe(time.Since(start).Seconds())
+		}
+		rs, err = p.rowSeq()
+	}
+	if err != nil {
 		sp.End()
 		if reg != nil {
 			reg.CounterVec("hbold_query_errors_total", "Queries that failed before yielding a stream.", "kind").With(kind).Inc()
 		}
 		return nil, err
 	}
-	// Dispatch: SELECT queries stream whenever an incremental operator
-	// covers their modifier surface. Grouping streams through the hash
-	// aggregation when the shape is accumulator-friendly; ORDER BY streams
-	// through the bounded top-k heap when a LIMIT bounds the window (and
-	// DISTINCT is absent — dedup after the heap could shrink the window
-	// below k). Everything else executes materialized and streams from the
-	// finished Result.
-	grouping := q.needsGrouping()
-	var aggSpec *streamAggSpec
-	if grouping {
-		aggSpec = q.streamAggSpec()
-	}
-	topK := !grouping && len(q.OrderBy) > 0 &&
-		q.topKBound() >= 0 && !q.Distinct && !q.Reduced
-	if q.Form != FormSelect || (grouping && aggSpec == nil) ||
-		(!grouping && len(q.OrderBy) > 0 && !topK) {
-		res, err := q.Exec(st)
-		if err != nil {
-			return fail(err)
-		}
-		rs := resultSeqCtx(ctx, res)
-		instrumentStream(rs, reg, sp, kind, start)
-		return rs, nil
-	}
+	instrumentStream(rs, reg, sp, kind, start)
+	return rs, nil
+}
 
-	var compileT0 time.Time
-	if reg != nil {
-		compileT0 = time.Now()
-	}
+// rowSink receives one solution row; returning false stops the producer.
+// The row may be producer scratch: a sink that keeps it must copy it.
+type rowSink func(r []store.ID) bool
+
+// pipeline is one query compiled against one store snapshot, with the
+// projection surface its stage chain needs.
+type pipeline struct {
+	q    *Query
+	ctx  context.Context
+	reg  *obs.Registry
+	ex   *idExec
+	se   *streamExec
+	root *cgroup
+	prof *profiler // nil unless Explain attached one
+
+	vars      []string
+	aliases   []aliasProj
+	projSlots []int
+	obVars    [][]varslot
+	agg       *streamAggSpec // accumulator grouping; nil when the term-space aggregate is needed
+	gslots    []int
+	err       error
+}
+
+// compile plans q against a snapshot of st.
+func (q *Query) compile(ctx context.Context, st store.Queryable) (*pipeline, error) {
 	ex := newIDExec(st)
 	comp := &compiler{ex: ex, slots: newSlotmap()}
 	root, err := comp.group(q.Where)
 	if err != nil {
-		if errors.Is(err, errUnsupportedPlan) {
-			res, lerr := q.execLegacy(st)
-			if lerr != nil {
-				return fail(lerr)
-			}
-			rs := resultSeqCtx(ctx, res)
-			instrumentStream(rs, reg, sp, kind, start)
-			return rs, nil
-		}
-		return fail(err)
+		return nil, err
 	}
-
-	// Streaming hash aggregation: rows fold into per-group accumulators as
-	// the pipeline produces them; only the groups — not the solution set —
-	// are ever live. The finished groups pass through the same ORDER BY /
-	// DISTINCT / window pipeline as the batch aggregation.
-	if aggSpec != nil {
-		gslots := aggSpec.resolve(comp.slots)
+	p := &pipeline{q: q, ctx: ctx, reg: obs.RegistryFrom(ctx), ex: ex, root: root}
+	switch {
+	case q.Form != FormSelect:
 		ex.freeze(comp)
-		if reg != nil {
-			reg.Histogram("hbold_query_compile_seconds", "Plan compilation time for ID-space streamed queries.", nil).Observe(time.Since(compileT0).Seconds())
-			reg.CounterVec("hbold_stream_op_total", "Streaming operator activations by operator.", "op").With("hash-group").Inc()
+	case q.needsGrouping():
+		if p.agg = q.streamAggSpec(); p.agg != nil {
+			p.gslots = p.agg.resolve(comp.slots)
 		}
-		agg := newStreamAgg(ex, aggSpec, gslots)
-		se := &streamExec{ctx: ctx, ex: ex, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
-		var streamErr error
-		seq := func(yield func(Binding) bool) {
-			var scanned int64
-			start := make([]store.ID, ex.nslots)
-			se.streamGroup(root, start, 0, func(r []store.ID, _ int) bool {
-				if err := ctx.Err(); err != nil {
-					se.err = err
-					return false
-				}
-				scanned++
-				agg.add(r)
-				return true
-			})
-			if se.err != nil {
-				streamErr = se.err
-				return
-			}
-			if reg != nil {
-				reg.CounterVec("hbold_stream_op_rows_total", "Rows consumed by streaming operators.", "op").With("hash-group").Add(float64(scanned))
-				reg.Histogram("hbold_stream_group_count", "Groups live in the streaming hash aggregation at emit.", nil).Observe(float64(agg.groupCount()))
-			}
-			out := agg.emit()
-			if len(q.OrderBy) > 0 {
-				sortSolutions(out, q.OrderBy)
-			}
-			if q.Distinct || q.Reduced {
-				out = distinct(out, aggSpec.vars)
-			}
-			out = windowBindings(out, q.Offset, q.Limit)
-			for _, b := range out {
-				if err := ctx.Err(); err != nil {
-					streamErr = err
-					return
-				}
-				if !yield(b) {
-					return
-				}
-			}
-		}
-		rs := NewRowSeq(aggSpec.vars, seq, &streamErr)
-		instrumentStream(rs, reg, sp, kind, start)
-		return rs, nil
+		ex.freeze(comp)
+		p.vars = selectVars(q.Select)
+	default:
+		p.aliases, p.vars, p.projSlots, p.obVars = q.resolveSelect(comp, ex)
 	}
+	p.se = &streamExec{ctx: ctx, ex: ex, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
+	return p, nil
+}
 
-	// Resolve the projection surface through the same helper as the
-	// batch path.
-	aliases, vars, projSlots, obVars := q.resolveSelect(comp, ex)
-	if reg != nil {
-		reg.Histogram("hbold_query_compile_seconds", "Plan compilation time for ID-space streamed queries.", nil).Observe(time.Since(compileT0).Seconds())
-	}
-
-	// Bounded top-k ORDER BY … LIMIT: every pipeline row is offered to a
-	// max-heap of OFFSET+LIMIT entries and the retained window streams out
-	// in sort order at stream end — O(k) live rows however many solutions
-	// the pattern produces.
-	if topK {
-		if reg != nil {
-			reg.CounterVec("hbold_stream_op_total", "Streaming operator activations by operator.", "op").With("top-k").Inc()
+// rowSeq answers ASK and CONSTRUCT on the spot and wraps a SELECT's
+// stage chain as a lazy stream.
+func (p *pipeline) rowSeq() (*RowSeq, error) {
+	switch p.q.Form {
+	case FormAsk:
+		ok := p.ask()
+		if p.err != nil {
+			return nil, p.err
 		}
-		se := &streamExec{ctx: ctx, ex: ex, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
-		var streamErr error
-		aliasTmp := make([]store.ID, len(aliases))
-		heap := newRowTopK(q.OrderBy, q.topKBound())
-		seq := func(yield func(Binding) bool) {
-			var scanned int64
-			var scratch OrderKey
-			start := make([]store.ID, ex.nslots)
-			se.streamGroup(root, start, 0, func(r []store.ID, _ int) bool {
-				if err := ctx.Err(); err != nil {
-					se.err = err
-					return false
-				}
-				scanned++
-				if len(aliases) > 0 {
-					for j, a := range aliases {
-						aliasTmp[j] = store.NoID
-						if t, err := evalExpr(a.expr, ex.bindScratch(a.vars, r)); err == nil {
-							aliasTmp[j] = ex.intern(t)
-						}
-					}
-					for j, a := range aliases {
-						if aliasTmp[j] != store.NoID {
-							r[a.slot] = aliasTmp[j]
-						}
-					}
-				}
-				heap.offer(r, ex.orderKeyOfRowInto(q.OrderBy, obVars, r, &scratch))
-				return true
-			})
-			if se.err != nil {
-				streamErr = se.err
-				return
-			}
-			if reg != nil {
-				reg.CounterVec("hbold_stream_op_rows_total", "Rows consumed by streaming operators.", "op").With("top-k").Add(float64(scanned))
-				reg.Histogram("hbold_stream_topk_heap_rows", "Rows retained by the streaming top-k heap at emit.", nil).Observe(float64(heap.size()))
-			}
-			es := heap.sorted()
-			if q.Offset >= len(es) {
-				es = nil
-			} else {
-				es = es[q.Offset:]
-			}
-			for _, en := range es {
-				if err := ctx.Err(); err != nil {
-					streamErr = err
-					return
-				}
-				r := en.row
-				var b Binding
-				if q.Star {
-					b = make(Binding, ex.nslots)
-					for s, v := range r {
-						if v != store.NoID {
-							b[ex.names[s]] = ex.term(v)
-						}
-					}
-				} else {
-					b = make(Binding, len(vars))
-					for j, s := range projSlots {
-						if s >= 0 && r[s] != store.NoID {
-							b[vars[j]] = ex.term(r[s])
-						}
-					}
-				}
-				if !yield(b) {
-					return
-				}
-			}
+		return &RowSeq{Ask: true, Boolean: ok}, nil
+	case FormConstruct:
+		g := p.construct()
+		if p.err != nil {
+			return nil, p.err
 		}
-		rs := NewRowSeq(vars, seq, &streamErr)
-		instrumentStream(rs, reg, sp, kind, start)
-		return rs, nil
+		return &RowSeq{Graph: g}, nil
 	}
+	return NewRowSeq(p.vars, p.run, &p.err), nil
+}
 
-	se := &streamExec{ctx: ctx, ex: ex, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
-	var streamErr error
-	aliasTmp := make([]store.ID, len(aliases))
-	var seen map[string]struct{}
-	if q.Distinct || q.Reduced {
-		seen = make(map[string]struct{})
+// where drives the WHERE clause through the streaming operators and
+// hands each solution to sink, checking ctx between rows.
+func (p *pipeline) where(sink rowSink) {
+	ctx := p.ctx
+	p.se.streamGroup(p.root, make([]store.ID, p.ex.nslots), 0, func(r []store.ID, _ int) bool {
+		if err := ctx.Err(); err != nil {
+			p.se.err = err
+			return false
+		}
+		return sink(r)
+	})
+	if p.err == nil {
+		p.err = p.se.err
 	}
-	seq := func(yield func(Binding) bool) {
-		emitted, skipped := 0, 0
-		var keyBuf []byte
-		start := make([]store.ID, ex.nslots)
-		se.streamGroup(root, start, 0, func(r []store.ID, _ int) bool {
-			if err := ctx.Err(); err != nil {
-				se.err = err
-				return false
-			}
-			// projection aliases see the pre-alias row and cannot see
-			// each other, matching the batch path
-			if len(aliases) > 0 {
-				for j, a := range aliases {
-					aliasTmp[j] = store.NoID
-					if t, err := evalExpr(a.expr, ex.bindScratch(a.vars, r)); err == nil {
-						aliasTmp[j] = ex.intern(t)
-					}
-				}
-				for j, a := range aliases {
-					if aliasTmp[j] != store.NoID {
-						r[a.slot] = aliasTmp[j]
-					}
-				}
-			}
-			if seen != nil {
-				keyBuf = packIDKey(keyBuf[:0], r, projSlots)
-				if _, dup := seen[string(keyBuf)]; dup {
-					return true
-				}
-				seen[string(keyBuf)] = struct{}{}
-			}
-			if skipped < q.Offset {
-				skipped++
-				return true
-			}
-			if q.Limit >= 0 && emitted >= q.Limit {
-				return false
-			}
-			var b Binding
-			if q.Star {
-				b = make(Binding, ex.nslots)
-				for s, v := range r {
-					if v != store.NoID {
-						b[ex.names[s]] = ex.term(v)
-					}
-				}
-			} else {
-				b = make(Binding, len(vars))
-				for j, s := range projSlots {
-					if s >= 0 && r[s] != store.NoID {
-						b[vars[j]] = ex.term(r[s])
-					}
-				}
-			}
-			if !yield(b) {
-				return false
-			}
-			emitted++
-			return q.Limit < 0 || emitted < q.Limit
+}
+
+// canceled records and reports a cancellation between emitted rows of a
+// blocking stage.
+func (p *pipeline) canceled() bool {
+	if err := p.ctx.Err(); err != nil {
+		p.err = err
+		return true
+	}
+	return false
+}
+
+// ask stops at the first solution.
+func (p *pipeline) ask() bool {
+	p.prof.addStage("where", 1)
+	found := false
+	p.where(func([]store.ID) bool {
+		found = true
+		return false
+	})
+	return found
+}
+
+// construct collects the OFFSET+LIMIT window of solutions and
+// instantiates the template over it.
+func (p *pipeline) construct() *rdf.Graph {
+	q, pr := p.q, p.prof
+	pr.addStage("where", 1)
+	i := pr.addStage("construct", 0)
+	budget := -1
+	if q.Limit >= 0 {
+		budget = q.Offset + q.Limit
+	}
+	rb := &rowbuf{stride: p.ex.nslots}
+	p.where(pr.meter(i, func(r []store.ID) bool {
+		rb.add(r)
+		return budget < 0 || rb.n < budget
+	}))
+	if p.err != nil {
+		return nil
+	}
+	pr.enter(i)
+	return q.execConstruct(windowBindings(p.ex.materializeAll(rb), q.Offset, q.Limit))
+}
+
+// run drives a SELECT through its stage chain and yields the projected
+// solutions in order. Stages are registered with the profiler in run
+// order; without one every index is -1 and meter hands sinks back
+// unwrapped.
+func (p *pipeline) run(yield func(Binding) bool) {
+	q, pr := p.q, p.prof
+	if q.needsGrouping() {
+		p.runGrouped(yield)
+		return
+	}
+	pr.addStage("where", 1)
+	iAlias := -1
+	if len(p.aliases) > 0 {
+		iAlias = pr.addStage("aliases", 0)
+	}
+	// ORDER BY … LIMIT keeps only OFFSET+LIMIT rows in a bounded heap;
+	// DISTINCT is excluded because deduplication after the heap could
+	// shrink the window below k.
+	topK := len(q.OrderBy) > 0 && q.topKBound() >= 0 && !q.Distinct && !q.Reduced
+	iOrder := -1
+	switch {
+	case topK:
+		iOrder = pr.addStage("top-k", 0)
+	case len(q.OrderBy) > 0:
+		iOrder = pr.addStage("order-by", 0)
+	}
+	distinct := q.Distinct || q.Reduced
+	iDistinct := -1
+	if distinct {
+		iDistinct = pr.addStage("distinct", 0)
+	}
+	iWindow := pr.addStage("window", 0)
+	iProject := pr.addStage("project", 0)
+
+	emit := pr.meter(iWindow, p.window(pr.meter(iProject, func(r []store.ID) bool {
+		return yield(p.project(r))
+	})))
+	if distinct {
+		emit = pr.meter(iDistinct, p.dedup(emit))
+	}
+	sink := emit
+	var heap *rowTopK
+	var sorted *rowbuf
+	var scanned int64
+	switch {
+	case topK:
+		if p.reg != nil {
+			p.reg.CounterVec("hbold_stream_op_total", "Streaming operator activations by operator.", "op").With("top-k").Inc()
+		}
+		heap = newRowTopK(q.OrderBy, q.topKBound())
+		var key OrderKey
+		sink = pr.meter(iOrder, func(r []store.ID) bool {
+			scanned++
+			heap.offer(r, p.ex.orderKeyOfRowInto(q.OrderBy, p.obVars, r, &key))
+			return true
 		})
-		if streamErr == nil {
-			streamErr = se.err
+	case len(q.OrderBy) > 0:
+		sorted = &rowbuf{stride: p.ex.nslots}
+		sink = pr.meter(iOrder, func(r []store.ID) bool {
+			sorted.add(r)
+			return true
+		})
+	}
+	if len(p.aliases) > 0 {
+		sink = pr.meter(iAlias, p.withAliases(sink))
+	}
+	p.where(sink)
+	if p.err != nil {
+		return
+	}
+	switch {
+	case heap != nil:
+		pr.enter(iOrder)
+		if p.reg != nil {
+			p.reg.CounterVec("hbold_stream_op_rows_total", "Rows consumed by streaming operators.", "op").With("top-k").Add(float64(scanned))
+			p.reg.Histogram("hbold_stream_topk_heap_rows", "Rows retained by the streaming top-k heap at emit.", nil).Observe(float64(heap.size()))
+		}
+		for _, en := range heap.sorted() {
+			if p.canceled() || !emit(en.row) {
+				return
+			}
+		}
+	case sorted != nil:
+		pr.enter(iOrder)
+		p.ex.sortRows(sorted, q.OrderBy, p.obVars)
+		for i := 0; i < sorted.n; i++ {
+			if p.canceled() || !emit(sorted.row(i)) {
+				return
+			}
 		}
 	}
-	rs := NewRowSeq(vars, seq, &streamErr)
-	instrumentStream(rs, reg, sp, kind, start)
-	return rs, nil
+}
+
+// runGrouped is run for GROUP BY / aggregate queries. Accumulator-friendly
+// shapes fold rows into per-group state as the WHERE clause produces
+// them (streamagg.go); the rest collect the solutions and group them in
+// term space. The groups then pass ORDER BY, DISTINCT and the window as
+// Bindings.
+func (p *pipeline) runGrouped(yield func(Binding) bool) {
+	q, pr := p.q, p.prof
+	pr.addStage("where", 1)
+	var out []Binding
+	if p.agg != nil {
+		i := pr.addStage("hash-group", 0)
+		if p.reg != nil {
+			p.reg.CounterVec("hbold_stream_op_total", "Streaming operator activations by operator.", "op").With("hash-group").Inc()
+		}
+		agg := newStreamAgg(p.ex, p.agg, p.gslots)
+		var scanned int64
+		p.where(pr.meter(i, func(r []store.ID) bool {
+			scanned++
+			agg.add(r)
+			return true
+		}))
+		if p.err != nil {
+			return
+		}
+		pr.enter(i)
+		if p.reg != nil {
+			p.reg.CounterVec("hbold_stream_op_rows_total", "Rows consumed by streaming operators.", "op").With("hash-group").Add(float64(scanned))
+			p.reg.Histogram("hbold_stream_group_count", "Groups live in the streaming hash aggregation at emit.", nil).Observe(float64(agg.groupCount()))
+		}
+		out = agg.emit()
+	} else {
+		i := pr.addStage("aggregate", 0)
+		rb := &rowbuf{stride: p.ex.nslots}
+		p.where(pr.meter(i, func(r []store.ID) bool {
+			rb.add(r)
+			return true
+		}))
+		if p.err != nil {
+			return
+		}
+		pr.enter(i)
+		var err error
+		if _, out, err = q.aggregate(p.ex.materializeAll(rb)); err != nil {
+			p.err = err
+			return
+		}
+	}
+	if len(q.OrderBy) > 0 {
+		pr.begin("order-by", len(out))
+		sortSolutions(out, q.OrderBy)
+	}
+	if q.Distinct || q.Reduced {
+		pr.begin("distinct", len(out))
+		out = distinct(out, p.vars)
+	}
+	pr.begin("window", len(out))
+	for _, b := range windowBindings(out, q.Offset, q.Limit) {
+		if p.canceled() || !yield(b) {
+			return
+		}
+	}
+}
+
+// withAliases evaluates the projection aliases on each row and hands on
+// a copy with their slots filled. Aliases see the pre-alias row, not
+// each other.
+func (p *pipeline) withAliases(next rowSink) rowSink {
+	ar := make([]store.ID, p.ex.nslots)
+	return func(r []store.ID) bool {
+		copy(ar, r)
+		for _, a := range p.aliases {
+			if t, err := evalExpr(a.expr, p.ex.bindScratch(a.vars, r)); err == nil {
+				ar[a.slot] = p.ex.intern(t)
+			}
+		}
+		return next(ar)
+	}
+}
+
+// dedup drops rows whose projected ID tuple was already seen; the first
+// occurrence in arrival order is kept.
+func (p *pipeline) dedup(next rowSink) rowSink {
+	seen := make(map[string]struct{})
+	var key []byte
+	return func(r []store.ID) bool {
+		key = packIDKey(key[:0], r, p.projSlots)
+		if _, dup := seen[string(key)]; dup {
+			return true
+		}
+		seen[string(key)] = struct{}{}
+		return next(r)
+	}
+}
+
+// window skips OFFSET rows and stops the producer once LIMIT rows have
+// passed.
+func (p *pipeline) window(next rowSink) rowSink {
+	offset, limit := p.q.Offset, p.q.Limit
+	skipped, emitted := 0, 0
+	return func(r []store.ID) bool {
+		if skipped < offset {
+			skipped++
+			return true
+		}
+		if limit >= 0 && emitted >= limit {
+			return false
+		}
+		emitted++
+		return next(r) && (limit < 0 || emitted < limit)
+	}
+}
+
+// project materializes the projected variables of a row; SELECT * keeps
+// every bound variable.
+func (p *pipeline) project(r []store.ID) Binding {
+	if p.q.Star {
+		return p.ex.materialize(r)
+	}
+	b := make(Binding, len(p.vars))
+	for j, s := range p.projSlots {
+		if s >= 0 && r[s] != store.NoID {
+			b[p.vars[j]] = p.ex.term(r[s])
+		}
+	}
+	return b
 }
 
 // streamYield receives one pipeline row plus the first scratch level the
@@ -615,8 +707,10 @@ type streamExec struct {
 	ctx    context.Context
 	ex     *idExec
 	levels [][]store.ID
+	frames []*matchFrame
 	orders map[*cBGP][]int
 	minus  map[*cMinus]*rowbuf
+	prof   *profiler // counts per-node traffic when non-nil
 	tick   int
 	err    error
 }
@@ -627,6 +721,58 @@ func (s *streamExec) scratch(d int) []store.ID {
 		s.levels = append(s.levels, make([]store.ID, s.ex.nslots))
 	}
 	return s.levels[d]
+}
+
+// matchFrame is the index-scan callback of a pattern join writing
+// scratch level d. Its func value is bound once, when the level is first
+// used, so a scan allocates nothing; reusing it is safe because the
+// frame's descendants only use levels above d, so two live scans never
+// share a frame.
+type matchFrame struct {
+	s     *streamExec
+	nr    []store.ID // scratch level d
+	b     *cBGP
+	order []int
+	k     int
+	row   []store.ID
+	free  int
+	yield streamYield
+	en    *ExplainNode
+	cont  bool
+	fn    func(ms, mp, mo store.ID) bool
+}
+
+// frame returns the match frame for scratch level d.
+func (s *streamExec) frame(d int) *matchFrame {
+	for len(s.frames) <= d {
+		f := &matchFrame{s: s, nr: s.scratch(len(s.frames))}
+		f.fn = f.match
+		s.frames = append(s.frames, f)
+	}
+	return s.frames[d]
+}
+
+// match extends the frame's row with one index match and recurses into
+// the next pattern.
+func (f *matchFrame) match(ms, mp, mo store.ID) bool {
+	s := f.s
+	if !s.tickOK() {
+		f.cont = false
+		return false
+	}
+	p := &f.b.pats[f.order[f.k]]
+	nr := f.nr
+	copy(nr, f.row)
+	if bindPos(p.s, ms, nr) && bindPos(p.p, mp, nr) && bindPos(p.o, mo, nr) {
+		if f.en != nil {
+			f.en.RowsOut++
+		}
+		if !s.streamPatterns(f.b, f.order, f.k+1, nr, f.free+1, f.yield) {
+			f.cont = false
+			return false
+		}
+	}
+	return true
 }
 
 // tickOK samples the context during index scans so a cancellation is
@@ -643,6 +789,9 @@ func (s *streamExec) tickOK() bool {
 }
 
 func (s *streamExec) streamGroup(g *cgroup, row []store.ID, free int, yield streamYield) bool {
+	if en := s.prof.enterNode(g); en != nil {
+		yield = countOut(en, yield)
+	}
 	return s.streamElems(g, 0, row, free, yield)
 }
 
@@ -651,11 +800,18 @@ func (s *streamExec) streamElems(g *cgroup, i int, row []store.ID, free int, yie
 		return false
 	}
 	if i == len(g.elems) {
+		if len(g.filters) == 0 {
+			return yield(row, free)
+		}
+		en := s.prof.enterNode(&g.filters)
 		for _, f := range g.filters {
 			ok, err := evalBool(f.expr, s.ex.bindScratch(f.vars, row))
 			if err != nil || !ok {
 				return true // row filtered out; keep streaming
 			}
+		}
+		if en != nil {
+			en.RowsOut++
 		}
 		return yield(row, free)
 	}
@@ -665,11 +821,15 @@ func (s *streamExec) streamElems(g *cgroup, i int, row []store.ID, free int, yie
 }
 
 func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamYield) bool {
+	if g, ok := n.(*cgroup); ok {
+		return s.streamGroup(g, row, free, yield)
+	}
+	if en := s.prof.enterNode(n); en != nil {
+		yield = countOut(en, yield)
+	}
 	switch x := n.(type) {
 	case *cBGP:
 		return s.streamPatterns(x, s.bgpOrder(x, row), 0, row, free, yield)
-	case *cgroup:
-		return s.streamGroup(x, row, free, yield)
 	case *cOptional:
 		matched := false
 		if !s.streamGroup(x.inner, row, free, func(r []store.ID, f int) bool {
@@ -688,7 +848,7 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 		}
 		return s.streamGroup(x.right, row, free, yield)
 	case *cMinus:
-		right := s.minusRight(x)
+		right := s.minusRight(x, free)
 		for j := 0; j < right.n; j++ {
 			rr := right.row(j)
 			shared, equal := false, true
@@ -742,8 +902,9 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 }
 
 // bgpOrder computes (once per node) the greedy join order, seeded with
-// the bound slots of the first row to reach the node — the same
-// heuristic the batch executor applies per buffer.
+// the bound slots of the first row to reach the node: connected patterns
+// first (a disconnected one builds a cartesian product), then the
+// smallest estimated cardinality.
 func (s *streamExec) bgpOrder(b *cBGP, row []store.ID) []int {
 	if o, ok := s.orders[b]; ok {
 		return o
@@ -784,6 +945,7 @@ func (s *streamExec) bgpOrder(b *cBGP, row []store.ID) []int {
 		}
 	}
 	s.orders[b] = order
+	s.prof.patternOrder(b, order)
 	return order
 }
 
@@ -796,6 +958,7 @@ func (s *streamExec) streamPatterns(b *cBGP, order []int, k int, row []store.ID,
 		return yield(row, free)
 	}
 	p := &b.pats[order[k]]
+	en := s.prof.enterNode(p)
 	var pat store.IDPattern
 	sConc := resolvePos(p.s, row, &pat.S)
 	pConc := resolvePos(p.p, row, &pat.P)
@@ -808,37 +971,31 @@ func (s *streamExec) streamPatterns(b *cBGP, order []int, k int, row []store.ID,
 			return false
 		}
 		if s.ex.rd.HasID(pat.S, pat.P, pat.O) {
+			if en != nil {
+				en.RowsOut++
+			}
 			return s.streamPatterns(b, order, k+1, row, free, yield)
 		}
 		return true
 	}
-	cont := true
-	s.ex.rd.MatchIDs(pat, func(ms, mp, mo store.ID) bool {
-		if !s.tickOK() {
-			cont = false
-			return false
-		}
-		nr := s.scratch(free)
-		copy(nr, row)
-		if bindPos(p.s, ms, nr) && bindPos(p.p, mp, nr) && bindPos(p.o, mo, nr) {
-			if !s.streamPatterns(b, order, k+1, nr, free+1, yield) {
-				cont = false
-				return false
-			}
-		}
-		return true
-	})
-	return cont
+	f := s.frame(free)
+	f.b, f.order, f.k, f.row, f.free, f.yield, f.en, f.cont = b, order, k, row, free, yield, en, true
+	s.ex.rd.MatchIDs(pat, f.fn)
+	return f.cont
 }
 
-// minusRight materializes (once per node) the right side of a MINUS with
-// the batch evaluator, mirroring its uncorrelated evaluation semantics.
-func (s *streamExec) minusRight(x *cMinus) *rowbuf {
+// minusRight collects (once per node) the right side of a MINUS,
+// evaluated uncorrelated from an empty row. It runs at the caller's
+// scratch level, so the rows of live ancestor frames stay intact.
+func (s *streamExec) minusRight(x *cMinus, free int) *rowbuf {
 	if r, ok := s.minus[x]; ok {
 		return r
 	}
-	empty := &rowbuf{stride: s.ex.nslots, data: make([]store.ID, s.ex.nslots), n: 1}
-	r := s.ex.evalGroup(x.inner, empty, -1)
-	s.minus[x] = r
-	return r
+	rb := &rowbuf{stride: s.ex.nslots}
+	s.streamGroup(x.inner, make([]store.ID, s.ex.nslots), free, func(r []store.ID, _ int) bool {
+		rb.add(r)
+		return true
+	})
+	s.minus[x] = rb
+	return rb
 }

@@ -1,11 +1,12 @@
 package sparql_test
 
-// Stream-vs-materialized differential harness plus unit coverage for the
+// Stream-vs-collect differential harness plus unit coverage for the
 // RowSeq contract and the incremental JSON results codec. The
 // differential runs the full fixed corpus and randomized synth queries
-// through Query.Stream and Query.Exec and asserts identical results (up
-// to row order, which SPARQL leaves undefined without ORDER BY). CI runs
-// this under -race like the engine differential.
+// through Query.Exec, which ranges over the pipeline's push iterator, and
+// through Query.Stream pulled row by row, and asserts identical results
+// (up to row order, which SPARQL leaves undefined without ORDER BY). CI
+// runs this under -race like the engine differential.
 
 import (
 	"context"
@@ -20,9 +21,9 @@ import (
 	"repro/internal/synth"
 )
 
-// assertStreamAgreement executes the query materialized and streamed and
-// fails on any observable difference, using the same comparison rules as
-// the engine differential (assertEngineAgreement).
+// assertStreamAgreement executes the query collected and pulled row by
+// row and fails on any observable difference, using the same comparison
+// rules as the engine differential (assertEngineAgreement).
 func assertStreamAgreement(t *testing.T, st *store.Store, query string) {
 	t.Helper()
 	q, err := sparql.Parse(query)
@@ -33,7 +34,11 @@ func assertStreamAgreement(t *testing.T, st *store.Store, query string) {
 	rs, stErr := q.Stream(context.Background(), st)
 	var stRes *sparql.Result
 	if stErr == nil {
-		stRes, stErr = rs.Collect()
+		stRes = &sparql.Result{Vars: rs.Vars, Ask: rs.Ask, Boolean: rs.Boolean, Graph: rs.Graph}
+		for b := range rs.All() {
+			stRes.Rows = append(stRes.Rows, b)
+		}
+		stErr = rs.Err()
 	}
 	if (exErr == nil) != (stErr == nil) {
 		t.Fatalf("query %q: errors disagree: exec=%v stream=%v", query, exErr, stErr)

@@ -57,9 +57,9 @@ type ReaderAPI interface {
 	CardinalityIDs(pat IDPattern) int
 }
 
-// Queryable is the surface the SPARQL engines execute against: an
-// ID-level snapshot for the compiled-plan paths plus the term-level
-// reads the legacy evaluator and presentation code use. Both storage
+// Queryable is the surface the SPARQL engine executes against: an
+// ID-level snapshot for the compiled plan plus the term-level reads the
+// reference evaluator and presentation code use. Both storage
 // tiers implement it, which is what lets sparql.Exec / Query.Stream /
 // Query.Explain run unmodified over memory or disk.
 type Queryable interface {

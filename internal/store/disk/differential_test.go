@@ -17,9 +17,9 @@ import (
 
 // This file is the tier differential: the same corpus loaded into the
 // in-memory store and into the disk backend must yield the same results
-// on every engine. The disk store is populated with CopyFrom, which
-// preserves the memory tier's ID assignment, so the two tiers are
-// bit-compatible views — any divergence is a storage-layer bug, not an
+// on the engine and on the reference evaluator. The disk store is
+// populated with CopyFrom, which preserves the memory tier's ID
+// assignment, so the two tiers are bit-compatible views — any divergence is a storage-layer bug, not an
 // artifact of dictionary order.
 
 const diffFixture = `
@@ -72,22 +72,20 @@ func tierPair(t *testing.T, mem *store.Store) (*store.Store, *disk.Store) {
 	return mem, ds
 }
 
-// runEngines executes q on st through all three evaluation paths.
+// runEngines executes q on st through the engine (Stream, collected) and
+// the term-space reference evaluator.
 func runEngines(t *testing.T, q *sparql.Query, st store.Queryable) map[string]*sparql.Result {
 	t.Helper()
 	out := map[string]*sparql.Result{}
 	rs, err := q.Stream(context.Background(), st)
 	if err != nil {
-		t.Fatalf("stream: %v", err)
+		t.Fatalf("engine: %v", err)
 	}
-	if out["stream"], err = rs.Collect(); err != nil {
-		t.Fatalf("stream collect: %v", err)
+	if out["engine"], err = rs.Collect(); err != nil {
+		t.Fatalf("engine collect: %v", err)
 	}
-	if out["materialized"], err = q.ExecEngine(st, sparql.EngineAuto); err != nil {
-		t.Fatalf("materialized: %v", err)
-	}
-	if out["legacy"], err = q.ExecEngine(st, sparql.EngineLegacy); err != nil {
-		t.Fatalf("legacy: %v", err)
+	if out["reference"], err = q.ExecReference(st); err != nil {
+		t.Fatalf("reference: %v", err)
 	}
 	return out
 }
@@ -188,7 +186,7 @@ func runDifferential(t *testing.T, mem *store.Store, ds *disk.Store, queries []s
 		}
 		memRes := runEngines(t, q, mem)
 		diskRes := runEngines(t, q, ds)
-		for _, engine := range []string{"stream", "materialized", "legacy"} {
+		for _, engine := range []string{"engine", "reference"} {
 			compareTiers(t, q, engine, query, memRes[engine], diskRes[engine])
 		}
 	}
@@ -204,7 +202,7 @@ func TestDifferentialFixedCorpus(t *testing.T) {
 }
 
 // TestDifferentialRandomized fuzzes the tier pair over synthetic corpora
-// with generated queries, across all three engines.
+// with generated queries, on the engine and the reference.
 func TestDifferentialRandomized(t *testing.T) {
 	specs := []synth.Spec{
 		{Name: "tiera", Classes: 6, Instances: 200, ObjectProps: 10,

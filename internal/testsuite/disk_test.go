@@ -10,8 +10,8 @@ import (
 )
 
 // TestConformanceDisk runs the whole conformance corpus with every data
-// file loaded through the disk backend — same goldens, same three
-// engines — then reopens each store from its on-disk files and runs the
+// file loaded through the disk backend — same goldens, engine and
+// reference — then reopens each store from its on-disk files and runs the
 // corpus again, so a restart provably serves identical results.
 func TestConformanceDisk(t *testing.T) {
 	// Data dirs and store lifetimes are owned by the enclosing test:

@@ -3,9 +3,8 @@ package update_test
 // Differential fuzz over the mutation path: the same seeded random
 // update stream (synth.UpdateGen) applies to an empty memory tier and an
 // empty disk tier. After every step the two deltas must be identical;
-// periodically a query battery runs across all three engine paths
-// (streaming, ID-space, legacy term-space) on both tiers and every
-// answer must agree; at the end the full materialized triple sets must
+// periodically a query battery runs on the engine and the term-space
+// reference on both tiers and every answer must agree; at the end the full materialized triple sets must
 // be equal. Any divergence — in incremental posting maintenance, WAL
 // replay, tombstone handling, or engine semantics over deleted data —
 // surfaces as a seed+step reproducible failure.
@@ -50,35 +49,31 @@ func resultKey(res *sparql.Result) string {
 	return strings.Join(lines, "\n")
 }
 
-// engineAnswers evaluates query on st through all three paths and fails
-// if they disagree among themselves.
+// engineAnswers evaluates query on st through the engine (Stream,
+// collected) and the term-space reference, and fails if they disagree.
 func engineAnswers(t *testing.T, st store.Queryable, query string) string {
 	t.Helper()
 	q, err := sparql.Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := q.ExecEngine(st, sparql.EngineAuto)
-	if err != nil {
-		t.Fatalf("auto: %v", err)
-	}
-	legacy, err := q.ExecEngine(st, sparql.EngineLegacy)
-	if err != nil {
-		t.Fatalf("legacy: %v", err)
-	}
 	rs, err := q.Stream(context.Background(), st)
 	if err != nil {
-		t.Fatalf("stream: %v", err)
+		t.Fatalf("engine: %v", err)
 	}
-	streamed, err := rs.Collect()
+	engine, err := rs.Collect()
 	if err != nil {
-		t.Fatalf("stream collect: %v", err)
+		t.Fatalf("engine collect: %v", err)
 	}
-	a, l, s := resultKey(auto), resultKey(legacy), resultKey(streamed)
-	if a != l || a != s {
-		t.Fatalf("engines disagree on %q:\nauto:\n%s\nlegacy:\n%s\nstream:\n%s", query, a, l, s)
+	reference, err := q.ExecReference(st)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
 	}
-	return a
+	e, r := resultKey(engine), resultKey(reference)
+	if e != r {
+		t.Fatalf("engine and reference disagree on %q:\nengine:\n%s\nreference:\n%s", query, e, r)
+	}
+	return e
 }
 
 // materialize returns the sorted triple set of a backend.

@@ -256,7 +256,7 @@ func TestDiskUpdateSurvivesRestart(t *testing.T) {
 
 // TestBothTiersConvergeUnderUpdates is the tentpole acceptance check in
 // miniature: the same update stream applied to both tiers leaves them
-// answering identically on all three engines.
+// answering identically on the engine and the reference.
 func TestBothTiersConvergeUnderUpdates(t *testing.T) {
 	bes := backends(t)
 	updates := []string{
@@ -281,17 +281,14 @@ func TestBothTiersConvergeUnderUpdates(t *testing.T) {
 		var want []string
 		for _, name := range []string{"memory", "disk"} {
 			be := bes[name]
-			for _, engine := range []sparql.Engine{sparql.EngineAuto, sparql.EngineLegacy} {
-				res, err := q.ExecEngine(be, engine)
-				if err != nil {
-					t.Fatalf("%s/%v: %v", name, engine, err)
-				}
-				got := canonRows(res)
-				if want == nil {
-					want = got
-				} else if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%s/%v diverged on %q:\n got %v\nwant %v", name, engine, query, got, want)
-				}
+			ref, err := q.ExecReference(be)
+			if err != nil {
+				t.Fatalf("%s/reference: %v", name, err)
+			}
+			if got := canonRows(ref); want == nil {
+				want = got
+			} else if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s/reference diverged on %q:\n got %v\nwant %v", name, query, got, want)
 			}
 			rs, err := q.Stream(context.Background(), be)
 			if err != nil {
@@ -302,7 +299,7 @@ func TestBothTiersConvergeUnderUpdates(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := canonRows(res); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s/stream diverged on %q:\n got %v\nwant %v", name, query, got, want)
+				t.Fatalf("%s/engine diverged on %q:\n got %v\nwant %v", name, query, got, want)
 			}
 		}
 	}
